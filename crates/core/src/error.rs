@@ -58,6 +58,14 @@ pub enum ScheduleError {
         /// eligibility sets.
         routable: f64,
     },
+    /// A column lists the same task more than once (a column holds one
+    /// constant rate per task, so the entries would be ambiguous).
+    DuplicateTask {
+        /// Offending task.
+        task: TaskId,
+        /// Start of the column that repeats it.
+        at: f64,
+    },
     /// A task's allocated area does not equal its volume `Vᵢ`.
     VolumeMismatch {
         /// Offending task.
@@ -151,6 +159,9 @@ impl fmt::Display for ScheduleError {
                 f,
                 "allocation of {total} at t = {at} not routable through the eligibility sets (only {routable} fits)"
             ),
+            ScheduleError::DuplicateTask { task, at } => {
+                write!(f, "task {task} listed twice in the column at t = {at}")
+            }
             ScheduleError::VolumeMismatch {
                 task,
                 allocated,

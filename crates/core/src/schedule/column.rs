@@ -139,22 +139,39 @@ impl<S: Scalar> ColumnSchedule<S> {
     /// Full validity check against Definition 2:
     ///
     /// 1. columns are contiguous from `t = 0` with non-negative lengths;
-    /// 2. every rate is in `[0, min(δᵢ, P)]`;
-    /// 3. per column, `Σᵢ dᵢ,ⱼ ≤ P`;
+    /// 2. every rate is in `[0, min(δᵢ, P)]`, and no column lists a task
+    ///    twice ([`ScheduleError::DuplicateTask`]);
+    /// 3. per column, `Σᵢ dᵢ,ⱼ ≤ P` (and, on heterogeneous machines, the
+    ///    rates lie in the capacity oracle's polymatroid);
     /// 4. per task, `Σⱼ dᵢ,ⱼ·lⱼ = Vᵢ`;
     /// 5. no allocation after the recorded completion time, and the last
     ///    allocation reaches it;
     /// 6. when the instance carries arrival times, no allocation before
     ///    the task's release.
+    ///
+    /// One forward pass over the columns: O(Σⱼ |ratesⱼ| + n) time plus the
+    /// per-column polymatroid check on heterogeneous machines, and O(n)
+    /// extra memory. Each task's area is accumulated in column order with
+    /// the same compensated summation as [`Scalar::sum`], so it is
+    /// bit-identical to [`ColumnSchedule::allocated_area`]. Column-local
+    /// checks fail at the first offending column; volumes, then
+    /// completions, are checked after the pass in task order.
     pub fn validate_with(
         &self,
         instance: &Instance<S>,
         tol: Tolerance<S>,
     ) -> Result<(), ScheduleError> {
-        if self.completions.len() != instance.n() {
+        let mut sp = malleable_trace::span("schedule.validate");
+        if sp.is_live() {
+            sp.arg("columns", self.columns.len() as u64);
+            let entries: usize = self.columns.iter().map(|c| c.rates.len()).sum();
+            sp.arg("entries", entries as u64);
+        }
+        let n = instance.n();
+        if self.completions.len() != n {
             return Err(ScheduleError::LengthMismatch {
                 what: "completion times",
-                expected: instance.n(),
+                expected: n,
                 found: self.completions.len(),
             });
         }
@@ -166,8 +183,16 @@ impl<S: Scalar> ColumnSchedule<S> {
                 });
             }
         }
+        let caps: Vec<S> = (0..n)
+            .map(|i| instance.effective_delta(TaskId(i)))
+            .collect();
+        let arrivals = instance.has_arrivals();
+        // `Scalar::sum` compensates for the approximate scalar (`f64`, the
+        // one with a nonzero natural tolerance) and folds exact fields.
+        let compensated = !S::default_tolerance().is_exact();
+        let mut acc = vec![TaskAcc::<S>::new(); n];
         let mut prev_end = S::zero();
-        for col in &self.columns {
+        for (j, col) in self.columns.iter().enumerate() {
             if !tol.eq(col.start.clone(), prev_end.clone()) {
                 return Err(ScheduleError::InvalidTime {
                     value: col.start.to_f64(),
@@ -181,51 +206,62 @@ impl<S: Scalar> ColumnSchedule<S> {
                 });
             }
             prev_end = col.end.clone();
+            let len = col.len();
+            // Allocations in zero-length (tied-completion) columns carry no
+            // area and may sit on either side of a completion or release.
+            let long = len > tol.abs;
+            let late_slack = tol.slack(col.start.clone(), S::zero());
 
             for (task, rate) in &col.rates {
-                if task.0 >= instance.n() {
+                if task.0 >= n {
                     return Err(ScheduleError::LengthMismatch {
                         what: "task id in column",
-                        expected: instance.n(),
+                        expected: n,
                         found: task.0,
                     });
                 }
-                let cap = instance.effective_delta(*task);
-                let delta_error = || ScheduleError::DeltaExceeded {
-                    task: *task,
-                    at: col.start.to_f64(),
-                    rate: rate.to_f64(),
-                    delta: cap.to_f64(),
-                };
-                if *rate < -tol.abs.clone() {
-                    return Err(delta_error());
-                }
-                if !tol.le(rate.clone(), cap.clone()) {
-                    return Err(delta_error());
-                }
-                // Allocation strictly after the task's completion time.
-                if col.len() > tol.abs
-                    && *rate > tol.abs
-                    && col.start.clone()
-                        > self.completions[task.0].clone() + tol.slack(col.start.clone(), S::zero())
-                {
-                    return Err(ScheduleError::AllocationAfterCompletion {
+                let a = &mut acc[task.0];
+                if a.seen_in == j + 1 {
+                    return Err(ScheduleError::DuplicateTask {
                         task: *task,
-                        completion: self.completions[task.0].to_f64(),
                         at: col.start.to_f64(),
                     });
                 }
-                // Allocation strictly before the task's release time
-                // (only when the instance carries arrivals).
-                if col.len() > tol.abs && *rate > tol.abs {
-                    let release = instance.arrival(*task);
-                    if release.is_positive() && !tol.ge(col.start.clone(), release.clone()) {
-                        return Err(ScheduleError::AllocationBeforeArrival {
+                a.seen_in = j + 1;
+                let cap = &caps[task.0];
+                if *rate < -tol.abs.clone() || !tol.le(rate.clone(), cap.clone()) {
+                    return Err(ScheduleError::DeltaExceeded {
+                        task: *task,
+                        at: col.start.to_f64(),
+                        rate: rate.to_f64(),
+                        delta: cap.to_f64(),
+                    });
+                }
+                if long && *rate > tol.abs {
+                    // Allocation strictly after the task's completion time.
+                    let completion = &self.completions[task.0];
+                    if col.start > completion.clone() + late_slack.clone() {
+                        return Err(ScheduleError::AllocationAfterCompletion {
                             task: *task,
-                            arrival: release.to_f64(),
+                            completion: completion.to_f64(),
                             at: col.start.to_f64(),
                         });
                     }
+                    // Allocation strictly before the task's release time.
+                    if arrivals {
+                        let release = instance.arrival(*task);
+                        if release.is_positive() && !tol.ge(col.start.clone(), release.clone()) {
+                            return Err(ScheduleError::AllocationBeforeArrival {
+                                task: *task,
+                                arrival: release.to_f64(),
+                                at: col.start.to_f64(),
+                            });
+                        }
+                    }
+                    a.last_end = a.last_end.clone().max_of(col.end.clone());
+                }
+                if rate.is_positive() {
+                    a.area.add(rate.clone() * len.clone(), compensated);
                 }
             }
             // Compensated for f64 (see Scalar::sum), exact for exact fields.
@@ -245,7 +281,7 @@ impl<S: Scalar> ColumnSchedule<S> {
             // A single-interval flow decides it — exactly, for exact
             // scalars. Restricted assignment carries task identities into
             // the check; level-decomposable models are identity-blind.
-            if !instance.machine.uniform() && col.len() > tol.abs && total.is_positive() {
+            if !instance.machine.uniform() && long && total.is_positive() {
                 if instance.machine.restriction().is_some() {
                     let entries: Vec<(usize, S, S)> = col
                         .rates
@@ -281,9 +317,8 @@ impl<S: Scalar> ColumnSchedule<S> {
                 }
             }
         }
-        // Volumes.
-        for (id, t) in instance.iter() {
-            let area = self.allocated_area(id);
+        for ((id, t), a) in instance.iter().zip(&acc) {
+            let area = a.area.value(compensated);
             if !tol.eq(area.clone(), t.volume.clone()) {
                 return Err(ScheduleError::VolumeMismatch {
                     task: id,
@@ -294,22 +329,74 @@ impl<S: Scalar> ColumnSchedule<S> {
         }
         // Completion must coincide with the end of the last positive-rate,
         // positive-length column of each task.
-        for (id, _) in instance.iter() {
-            let last_alloc = self
-                .columns
-                .iter()
-                .filter(|c| c.len() > tol.abs && c.rate_of(id) > tol.abs)
-                .map(|c| c.end.clone())
-                .fold(S::zero(), S::max_of);
-            if !tol.eq(last_alloc.clone(), self.completions[id.0].clone()) {
+        for ((i, c), a) in self.completions.iter().enumerate().zip(&acc) {
+            if !tol.eq(a.last_end.clone(), c.clone()) {
                 return Err(ScheduleError::AllocationAfterCompletion {
-                    task: id,
-                    completion: self.completions[id.0].to_f64(),
-                    at: last_alloc.to_f64(),
+                    task: TaskId(i),
+                    completion: c.to_f64(),
+                    at: a.last_end.to_f64(),
                 });
             }
         }
         Ok(())
+    }
+}
+
+/// Per-task state of the validation pass.
+#[derive(Clone)]
+struct TaskAcc<S> {
+    /// Area allocated so far, in column order.
+    area: AreaSum<S>,
+    /// End of the last positive-rate, positive-length column so far.
+    last_end: S,
+    /// `j + 1` for the last column `j` that listed the task (0 = none).
+    seen_in: usize,
+}
+
+impl<S: Scalar> TaskAcc<S> {
+    fn new() -> Self {
+        TaskAcc {
+            area: AreaSum {
+                sum: S::zero(),
+                comp: S::zero(),
+            },
+            last_end: S::zero(),
+            seen_in: 0,
+        }
+    }
+}
+
+/// Incremental twin of [`Scalar::sum`]: Neumaier-compensated (the `f64`
+/// override, [`numkit::KahanSum`]) when `compensated`, a plain fold from
+/// zero (the exact fields' default) otherwise. Fed the same terms in the
+/// same order, it returns the same bits.
+#[derive(Clone)]
+struct AreaSum<S> {
+    sum: S,
+    comp: S,
+}
+
+impl<S: Scalar> AreaSum<S> {
+    #[inline]
+    fn add(&mut self, x: S, compensated: bool) {
+        let t = self.sum.clone() + x.clone();
+        if compensated {
+            let c = if self.sum.abs() >= x.abs() {
+                (self.sum.clone() - t.clone()) + x
+            } else {
+                (x - t.clone()) + self.sum.clone()
+            };
+            self.comp = self.comp.clone() + c;
+        }
+        self.sum = t;
+    }
+
+    fn value(&self, compensated: bool) -> S {
+        if compensated {
+            self.sum.clone() + self.comp.clone()
+        } else {
+            self.sum.clone()
+        }
     }
 }
 
@@ -532,6 +619,66 @@ mod tests {
         // All-zero arrivals change nothing.
         let zeroed = inst().with_arrivals(vec![0.0, 0.0]).unwrap();
         valid_schedule().validate(&zeroed).unwrap();
+    }
+
+    #[test]
+    fn duplicate_task_in_a_column_detected() {
+        // T0 listed twice at rate ½: capacity (2) and δ hold, and the two
+        // entries add up to T0's volume, but a column holds one rate per
+        // task.
+        let mut s = valid_schedule();
+        s.columns[0].rates = vec![(TaskId(0), 0.5), (TaskId(1), 1.0), (TaskId(0), 0.5)];
+        match s.validate(&inst()) {
+            Err(ScheduleError::DuplicateTask { task, at }) => {
+                assert_eq!(task, TaskId(0));
+                assert_eq!(at, 0.0);
+            }
+            other => panic!("expected DuplicateTask, got {other:?}"),
+        }
+        // The same task in two different columns is fine.
+        let split = ColumnSchedule {
+            p: 2.0,
+            completions: vec![2.0, 2.0],
+            columns: vec![
+                Column {
+                    start: 0.0,
+                    end: 1.0,
+                    rates: vec![(TaskId(0), 1.0), (TaskId(1), 1.0)],
+                },
+                Column {
+                    start: 1.0,
+                    end: 2.0,
+                    rates: vec![(TaskId(1), 1.0), (TaskId(0), 1.0)],
+                },
+            ],
+        };
+        split.validate(&inst()).unwrap();
+    }
+
+    #[test]
+    fn area_accumulator_matches_scalar_sum_bit_for_bit() {
+        // Magnitudes where naive folding loses the small terms.
+        let terms = [
+            1.0, 1e100, 1.0, -1e100, 0.1, 0.2, 0.3, 1e-17, -0.6, 3.0e15, 7.0,
+        ];
+        for len in 0..=terms.len() {
+            let mut acc = TaskAcc::<f64>::new().area;
+            for &x in &terms[..len] {
+                acc.add(x, true);
+            }
+            let want = f64::sum(terms[..len].iter().copied());
+            assert_eq!(acc.value(true).to_bits(), want.to_bits(), "prefix {len}");
+        }
+        use bigratio::Rational;
+        let q: Vec<Rational> = [(1, 3), (2, 7), (-5, 11), (9, 4)]
+            .iter()
+            .map(|&(n, d)| Rational::from_ratio(n, d))
+            .collect();
+        let mut acc = TaskAcc::<Rational>::new().area;
+        for x in &q {
+            acc.add(x.clone(), false);
+        }
+        assert_eq!(acc.value(false), Rational::sum(q));
     }
 
     #[test]

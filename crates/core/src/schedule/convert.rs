@@ -200,6 +200,10 @@ pub fn column_to_step<S: Scalar>(
 /// task's rate in a column is its average allocation there. Rates stay
 /// within `δᵢ` and capacity `P` because averages of valid instantaneous
 /// allocations are valid (the paper's proof of Theorem 3).
+///
+/// Each task's time-sorted segments are walked once by a cursor as the
+/// columns advance, so the cost is O(columns · n + segments) rather than
+/// clipping every segment against every column.
 pub fn step_to_column<S: Scalar>(ss: &StepSchedule<S>, tol: Tolerance<S>) -> ColumnSchedule<S> {
     let completions = ss.completion_times();
     let mut bounds: Vec<S> = completions
@@ -210,6 +214,7 @@ pub fn step_to_column<S: Scalar>(ss: &StepSchedule<S>, tol: Tolerance<S>) -> Col
     bounds.sort_by(S::total_cmp_s);
     bounds.dedup_by(|a, b| tol.eq(a.clone(), b.clone()));
 
+    let mut cursor = vec![0usize; ss.n()];
     let mut columns = Vec::with_capacity(bounds.len());
     let mut prev = S::zero();
     for b in &bounds {
@@ -217,8 +222,14 @@ pub fn step_to_column<S: Scalar>(ss: &StepSchedule<S>, tol: Tolerance<S>) -> Col
         let mut rates = Vec::new();
         if l > tol.abs {
             for (i, segs) in ss.allocs.iter().enumerate() {
+                // Segments ending by `prev` cannot reach this column or any
+                // later one.
+                let k = &mut cursor[i];
+                while segs.get(*k).is_some_and(|s| s.end <= prev) {
+                    *k += 1;
+                }
                 let mut area = S::zero();
-                for s in segs {
+                for s in segs[*k..].iter().take_while(|s| s.start < *b) {
                     let lo = s.start.clone().max_of(prev.clone());
                     let hi = s.end.clone().min_of(b.clone());
                     if hi > lo {
@@ -251,6 +262,11 @@ pub fn step_to_column<S: Scalar>(ss: &StepSchedule<S>, tol: Tolerance<S>) -> Col
 /// count stays put, so the resulting Gantt has exactly one preemption per
 /// resource change — the property Theorem 10 builds on.
 ///
+/// Only tasks with a segment boundary since the previous event can change
+/// their count, so each event re-reads just those tasks, through per-task
+/// segment cursors walked in time order: O(E log E + B log B) for `E`
+/// events and `B` segment boundaries, plus the processor hand-offs.
+///
 /// # Errors
 /// [`ScheduleError::InvalidInstance`] when `P` or any segment count is not
 /// integral, or [`ScheduleError::CapacityExceeded`] when counts overflow
@@ -265,7 +281,22 @@ pub fn assign_processors_stable<S: Scalar>(
     let mut gantt = Gantt::empty(n_procs);
     let half = S::from_f64(0.5);
 
+    // Every segment boundary, time-sorted, tagged with its task.
+    let mut bounds: Vec<(&S, usize)> = Vec::new();
+    for (i, segs) in ss.allocs.iter().enumerate() {
+        for s in segs {
+            bounds.push((&s.start, i));
+            bounds.push((&s.end, i));
+        }
+    }
+    bounds.sort_by(|a, b| a.0.total_cmp_s(b.0));
+    let mut next_bound = 0;
+    let mut cursor = vec![0usize; n];
+    let mut touched: Vec<usize> = Vec::new();
+
     // Ownership state.
+    let mut required = vec![0usize; n]; // integer count on the current event
+    let mut total_required = 0usize;
     let mut owned: Vec<Vec<usize>> = vec![Vec::new(); n]; // LIFO per task
     let mut free: Vec<usize> = (0..n_procs).rev().collect(); // pop() = lowest id
     let mut lane_open: Vec<Option<(TaskId, S)>> = vec![None; n_procs]; // (task, since)
@@ -276,17 +307,31 @@ pub fn assign_processors_stable<S: Scalar>(
             continue;
         }
         let mid = half.clone() * (t0.clone() + t1.clone());
-        // Required integer counts on [t0, t1).
-        let mut required = vec![0usize; n];
-        for (i, slot) in required.iter_mut().enumerate() {
-            *slot = integral(
-                &ss.rate_at(TaskId(i), mid.clone()),
-                "segment processor count",
-                &tol,
-            )?;
+        // Required integer counts on [t0, t1): a task's count can only
+        // have changed if one of its boundaries passed since the last mid.
+        touched.clear();
+        while bounds.get(next_bound).is_some_and(|(t, _)| **t <= mid) {
+            touched.push(bounds[next_bound].1);
+            next_bound += 1;
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for &i in &touched {
+            let segs = &ss.allocs[i];
+            let k = &mut cursor[i];
+            while segs.get(*k).is_some_and(|s| s.end <= mid) {
+                *k += 1;
+            }
+            let rate = match segs.get(*k) {
+                Some(s) if s.start <= mid => s.procs.clone(),
+                _ => S::zero(),
+            };
+            let count = integral(&rate, "segment processor count", &tol)?;
+            total_required = total_required - required[i] + count;
+            required[i] = count;
         }
         // Release phase.
-        for i in 0..n {
+        for &i in &touched {
             while owned[i].len() > required[i] {
                 let p = owned[i].pop().expect("len > required ≥ 0");
                 if let Some((task, since)) = lane_open[p].take() {
@@ -301,13 +346,13 @@ pub fn assign_processors_stable<S: Scalar>(
         }
         // Re-sort descending so pop() keeps handing out the lowest free id.
         free.sort_unstable_by(|a, b| b.cmp(a));
-        // Acquire phase.
-        for i in 0..n {
+        // Acquire phase, in task order.
+        for &i in &touched {
             while owned[i].len() < required[i] {
                 let Some(p) = free.pop() else {
                     return Err(ScheduleError::CapacityExceeded {
                         at: t0.to_f64(),
-                        total: required.iter().sum::<usize>() as f64,
+                        total: total_required as f64,
                         p: ss.p.to_f64(),
                     });
                 };

@@ -11,6 +11,8 @@
 use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
 use numkit::{Scalar, Tolerance};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 /// A maximal interval of constant positive allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,11 +153,22 @@ impl<S: Scalar> StepSchedule<S> {
     }
 
     /// [`StepSchedule::validate`] with an explicit tolerance.
+    ///
+    /// Checks 1, 2 and 4 walk each task's segments once. The capacity
+    /// check sweeps the segment boundaries, sorted exactly (no tolerance
+    /// merging), over an active set of segments: on every elementary
+    /// interval longer than `tol.abs` the active rates are summed afresh
+    /// with [`Scalar::sum`], in task order. With `s` segments in total
+    /// that is O(s log s) plus the active-set sizes of the swept intervals,
+    /// and O(s) extra memory.
     pub fn validate_with(
         &self,
         instance: &Instance<S>,
         tol: Tolerance<S>,
     ) -> Result<(), ScheduleError> {
+        let mut sp = malleable_trace::span("schedule.validate");
+        let entries: usize = self.allocs.iter().map(Vec::len).sum();
+        sp.arg("entries", entries as u64);
         if self.n() != instance.n() {
             return Err(ScheduleError::LengthMismatch {
                 what: "step schedule tasks",
@@ -205,23 +218,55 @@ impl<S: Scalar> StepSchedule<S> {
                 });
             }
         }
-        // Capacity: sweep over event times, summing rates on each interval.
-        let events = self.event_times(tol.clone());
-        let half = S::from_f64(0.5);
-        for w in events.windows(2) {
-            if w[1].clone() - w[0].clone() <= tol.abs {
+        // Capacity: one sweep over the exactly sorted boundaries. Each
+        // boundary is `(time, task, segment, opens)`; the active set is
+        // ordered by `(task, segment)` so totals sum in task order.
+        let mut bounds: Vec<(&S, usize, usize, bool)> = Vec::with_capacity(2 * entries);
+        for (i, segs) in self.allocs.iter().enumerate() {
+            for (k, s) in segs.iter().enumerate() {
+                bounds.push((&s.start, i, k, true));
+                bounds.push((&s.end, i, k, false));
+            }
+        }
+        bounds.sort_by(|a, b| a.0.total_cmp_s(b.0));
+        let mut active: BTreeSet<(usize, usize)> = BTreeSet::new();
+        let mut intervals = 0u64;
+        let mut b = 0;
+        while b < bounds.len() {
+            let t = bounds[b].0;
+            while b < bounds.len() && bounds[b].0.total_cmp_s(t) == Ordering::Equal {
+                let (_, i, k, opens) = bounds[b];
+                if opens {
+                    active.insert((i, k));
+                } else {
+                    active.remove(&(i, k));
+                }
+                b += 1;
+            }
+            let Some(&(next, ..)) = bounds.get(b) else {
+                break;
+            };
+            intervals += 1;
+            if active.is_empty() || next.clone() - t.clone() <= tol.abs {
                 continue;
             }
-            let mid = half.clone() * (w[0].clone() + w[1].clone());
-            let total = S::sum((0..self.n()).map(|i| self.rate_at(TaskId(i), mid.clone())));
+            // A task's rate is its first segment covering the interval
+            // (segments may overlap within the tolerance).
+            let mut last_task = usize::MAX;
+            let total = S::sum(active.iter().filter_map(|&(i, k)| {
+                let first = i != last_task;
+                last_task = i;
+                first.then(|| self.allocs[i][k].procs.clone())
+            }));
             if !tol.le(total.clone(), self.p.clone()) {
                 return Err(ScheduleError::CapacityExceeded {
-                    at: w[0].to_f64(),
+                    at: t.to_f64(),
                     total: total.to_f64(),
                     p: self.p.to_f64(),
                 });
             }
         }
+        sp.arg("columns", intervals);
         Ok(())
     }
 }
@@ -311,6 +356,38 @@ mod tests {
             s.validate(&inst()),
             Err(ScheduleError::CapacityExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn capacity_sweep_reports_the_interval_start() {
+        let mut s = sched();
+        s.allocs[0] = vec![Segment {
+            start: 0.5,
+            end: 2.5,
+            procs: 1.0,
+        }];
+        match s.validate(&inst()) {
+            Err(ScheduleError::CapacityExceeded { at, total, p }) => {
+                assert_eq!((at, total, p), (2.0, 3.0, 2.0));
+            }
+            other => panic!("expected CapacityExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn capacity_sweep_counts_each_task_once() {
+        // T1's second segment starts 1e-9 early, overlapping its first
+        // (allowed: within the relative slack at t = 2) on an interval
+        // longer than `abs`. There T1 holds its first segment's rate, as
+        // `rate_at` reports: 1 + 1 ≤ P, not 1 + 1 + 2.
+        let mut s = sched();
+        s.allocs[1][1].start = 2.0 - 1e-9;
+        let tol = Tolerance {
+            abs: 1e-12,
+            rel: 1e-6,
+        };
+        assert_eq!(s.rate_at(TaskId(1), 2.0 - 5e-10), 1.0);
+        s.validate_with(&inst(), tol).unwrap();
     }
 
     #[test]

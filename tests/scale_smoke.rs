@@ -57,3 +57,28 @@ fn event_driven_lanes_handle_ten_thousand_tasks_in_budget() {
         assert!(work > 0, "{}: work counter must move", spec.label());
     }
 }
+
+/// Validation is one pass over the rate entries: a dense WDEQ column
+/// schedule at n = 2000 (every task alive in every column up to its
+/// completion, ~2·10⁶ entries) must validate well inside a second; a
+/// validator that rescans the columns per task takes seconds at this size.
+#[cfg_attr(
+    debug_assertions,
+    ignore = "wall-clock budget only meaningful in release builds"
+)]
+#[test]
+fn dense_wdeq_schedule_validates_in_budget() {
+    let instance = generate(&Spec::PaperUniform { n: 2000 }, 42);
+    let schedule = wdeq_schedule(&instance);
+    let entries: usize = schedule.columns.iter().map(|c| c.rates.len()).sum();
+    assert!(entries > 1_000_000, "only {entries} entries");
+
+    let start = Instant::now();
+    let verdict = schedule.validate(&instance);
+    let wall = start.elapsed();
+    verdict.expect("the f64 WDEQ lane returned an invalid schedule at n = 2000");
+    assert!(
+        wall < Duration::from_secs(1),
+        "validating {entries} entries took {wall:?} — the validator regressed"
+    );
+}
