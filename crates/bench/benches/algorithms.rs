@@ -9,10 +9,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use malleable_core::algos::greedy::greedy_schedule;
 use malleable_core::algos::orders::smith_order;
-use malleable_core::algos::releases::makespan_with_releases;
+use malleable_core::algos::parametric::{frontier, Objective, ProbeSession};
 use malleable_core::algos::waterfill::{water_filling, wf_feasible};
 use malleable_core::algos::waterfill_fast::wf_feasible_grouped;
 use malleable_core::algos::wdeq::wdeq_run;
+use malleable_core::instance::Instance;
 use malleable_workloads::{generate, Spec};
 use std::hint::black_box;
 
@@ -66,7 +67,16 @@ fn bench_release_makespan(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(n),
             &(&inst, &releases),
-            |b, (inst, rel)| b.iter(|| black_box(makespan_with_releases(inst, rel).unwrap().cmax)),
+            |b, (inst, releases)| {
+                b.iter(|| {
+                    let makespan = Objective::Makespan { releases };
+                    black_box(
+                        frontier(inst, makespan, &mut ProbeSession::new())
+                            .unwrap()
+                            .0,
+                    )
+                })
+            },
         );
     }
     g.finish();
@@ -76,7 +86,12 @@ fn bench_parametric_lmax(c: &mut Criterion) {
     // The parametric frontier search that replaced the 100-step
     // bisection: typical convergence is a handful of cut iterations, so
     // the solve should sit near a couple of feasibility probes' cost.
-    use malleable_core::algos::makespan::min_lmax;
+    let lmax = |inst: &Instance, due: &[f64]| {
+        let lateness = Objective::Lateness { due };
+        frontier(inst, lateness, &mut ProbeSession::new())
+            .unwrap()
+            .0
+    };
     let mut g = c.benchmark_group("lmax/parametric");
     g.sample_size(20);
     for n in [8usize, 32, 128] {
@@ -90,7 +105,7 @@ fn bench_parametric_lmax(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(n),
             &(&inst, &due),
-            |b, (inst, due)| b.iter(|| black_box(min_lmax(inst, due).unwrap().0)),
+            |b, (inst, due)| b.iter(|| black_box(lmax(inst, due))),
         );
     }
     // Comparison points for the related-machines flow path: the same
@@ -117,7 +132,7 @@ fn bench_parametric_lmax(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("related", n),
             &(&inst, &due),
-            |b, (inst, due)| b.iter(|| black_box(min_lmax(inst, due).unwrap().0)),
+            |b, (inst, due)| b.iter(|| black_box(lmax(inst, due))),
         );
     }
     g.finish();

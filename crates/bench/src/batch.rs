@@ -17,6 +17,7 @@
 //! it), so the expensive optional baseline is computed once per instance.
 
 use crate::csvout;
+use crate::jsonin::json_string;
 use crate::parallel::par_map;
 use crate::table::{fnum, Table};
 use malleable_core::algos::waterfill::allocation_changes;
@@ -480,25 +481,6 @@ pub fn policy_aggregates(records: &[EvalRecord]) -> Vec<PolicyAggregate> {
         .collect()
 }
 
-/// Minimal JSON string escaping (policy/family names are plain, but stay
-/// correct anyway). Shared with the other hand-rolled JSON writers in
-/// this crate ([`crate::perf`]).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Serialize the per-policy aggregates (plus run metadata) as JSON to
 /// `results/<name>.json`, so the performance trajectory is
 /// machine-readable across PRs (no serde in the offline build — the
@@ -528,7 +510,7 @@ pub fn write_batch_json(name: &str, records: &[EvalRecord]) -> std::io::Result<P
         "  \"families\": [{}],",
         families
             .iter()
-            .map(|s| json_str(s))
+            .map(|s| json_string(s))
             .collect::<Vec<_>>()
             .join(", ")
     )?;
@@ -538,7 +520,7 @@ pub fn write_batch_json(name: &str, records: &[EvalRecord]) -> std::io::Result<P
         writeln!(
             f,
             "    {{\"policy\": {}, \"runs\": {}, \"mean_cost\": {:.6}, \"mean_bound_ratio\": {:.6}, \"max_bound_ratio\": {:.6}, \"mean_wall_us\": {:.1}}}{}",
-            json_str(&a.policy),
+            json_string(&a.policy),
             a.runs,
             a.mean_cost,
             a.mean_bound_ratio,

@@ -20,8 +20,8 @@ use malleable_bench::stats::summarize;
 use malleable_bench::table::{fnum, Table};
 use malleable_bench::{csvout, instance_count};
 use malleable_core::algos::greedy::greedy_schedule;
-use malleable_core::algos::makespan::min_lmax;
 use malleable_core::algos::orders::smith_order;
+use malleable_core::algos::parametric::{frontier, Objective, ProbeSession};
 use malleable_core::algos::waterfill::{water_filling, wf_feasible};
 use malleable_core::algos::wdeq::wdeq_schedule;
 use malleable_core::instance::Instance;
@@ -178,7 +178,8 @@ fn main() {
             let inst = generate(&Spec::PaperUniform { n }, seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xDD);
             let due: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..2.0)).collect();
-            let (l, cs) = min_lmax(&inst, &due).expect("lmax");
+            let lateness = Objective::Lateness { due: &due };
+            let (l, cs) = frontier(&inst, lateness, &mut ProbeSession::new()).expect("lmax");
             cs.validate(&inst).expect("lmax schedule valid");
             // ε-probe: L − ε must be infeasible.
             let eps = 1e-4 * (1.0 + l.abs());

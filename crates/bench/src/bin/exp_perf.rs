@@ -57,9 +57,7 @@ use malleable_bench::perf::{
     ProbeRecord, ScalingRecord,
 };
 use malleable_bench::regression::{asymptotic_curve, fit_loglog_slope, EXACT_FAMILY_TAG};
-use malleable_core::algos::makespan::min_lmax_in;
-use malleable_core::algos::parametric::{ProbeSession, SolveMode};
-use malleable_core::algos::releases::makespan_with_releases_in;
+use malleable_core::algos::parametric::{frontier, Objective, ProbeSession, SolveMode};
 use malleable_core::algos::waterfill_fast::wf_feasible_grouped_with_work;
 use malleable_core::algos::wdeq::wdeq_completions;
 use malleable_core::instance::Instance;
@@ -246,18 +244,12 @@ fn run_one(config: &Config, mode: SolveMode) -> ProbeRecord {
         || {
             let mut session = ProbeSession::with_mode(mode);
             let start = Instant::now();
-            let value = match &config.kind {
-                Kind::Lmax { due } => {
-                    min_lmax_in(&config.instance, due, &mut session)
-                        .unwrap_or_else(|e| panic!("{}: {e}", config.label))
-                        .0
-                }
-                Kind::ReleaseCmax { releases } => {
-                    makespan_with_releases_in(&config.instance, releases, &mut session)
-                        .unwrap_or_else(|e| panic!("{}: {e}", config.label))
-                        .cmax
-                }
+            let objective = match &config.kind {
+                Kind::Lmax { due } => Objective::Lateness { due },
+                Kind::ReleaseCmax { releases } => Objective::Makespan { releases },
             };
+            let (value, _) = frontier(&config.instance, objective, &mut session)
+                .unwrap_or_else(|e| panic!("{}: {e}", config.label));
             let wall_us = start.elapsed().as_secs_f64() * 1e6;
             (value, session.telemetry(), wall_us)
         },

@@ -1,14 +1,15 @@
-//! A minimal JSON reader for the bench crate's own result files
-//! (`results/BENCH_batch.json`, `results/BENCH_parametric.json`).
+//! The crate's one JSON module: a minimal reader and the string writer.
 //!
-//! The offline build has no serde, and the writers
-//! ([`crate::batch::write_batch_json`], [`crate::perf`]) hand-roll their
-//! output — this is the matching hand-rolled parser, so the CI
-//! bench-regression gate can *consume* what the sweeps emit. It is a
+//! The offline build has no serde. The writers (the bench result files of
+//! [`crate::batch::write_batch_json`] and [`crate::perf`], the daemon
+//! responses of [`crate::serve`]) hand-roll their output around
+//! [`json_string`], and every consumer reads through [`parse`]: the CI
+//! bench-regression gate, and the daemon's request parser
+//! ([`crate::serve::protocol::parse_request`]). The reader is a
 //! straightforward recursive-descent parser over the full JSON grammar
 //! (objects, arrays, strings with escapes, numbers, booleans, null); it
 //! does not aim at serde performance or streaming, just correctness on
-//! small result files.
+//! small documents.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -99,6 +100,25 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
         return Err(p.err("trailing characters after the document"));
     }
     Ok(v)
+}
+
+/// JSON-escape a string into a quoted literal — the one string writer
+/// of every hand-rolled JSON output in this crate (bench results, daemon
+/// responses, and the requests protocol clients send).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 struct Parser<'a> {
@@ -292,6 +312,20 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_writer_round_trips_through_the_reader() {
+        for s in [
+            "wdeq",
+            "two-tier[1x4+3x1]",
+            "quote \" slash \\",
+            "line\nbreak\u{1}",
+            "δ → ∞",
+        ] {
+            assert_eq!(parse(&json_string(s)).unwrap(), Json::String(s.into()));
+        }
+        assert_eq!(json_string("a\"b"), r#""a\"b""#);
+    }
 
     #[test]
     fn parses_the_batch_schema() {

@@ -200,8 +200,8 @@ pub fn write_parametric_json_with_scaling(
         writeln!(
             f,
             "    {{\"solver\": {}, \"mode\": {}, \"probes\": {}, \"warm_solves\": {}, \"cold_rebuilds\": {}, \"phases\": {}, \"augmentations\": {}, \"repair_paths\": {}, \"wall_us\": {:.1}, \"value\": {:.9}}}{}",
-            crate::batch::json_str(&r.solver),
-            crate::batch::json_str(r.mode),
+            crate::jsonin::json_string(&r.solver),
+            crate::jsonin::json_string(r.mode),
             r.probes,
             r.warm_solves,
             r.cold_rebuilds,
@@ -219,7 +219,7 @@ pub fn write_parametric_json_with_scaling(
         writeln!(
             f,
             "    {{\"family\": {}, \"n\": {}, \"wall_us\": {:.1}, \"events\": {}}}{}",
-            crate::batch::json_str(&s.family),
+            crate::jsonin::json_string(&s.family),
             s.n,
             s.wall_us,
             s.events,

@@ -24,6 +24,7 @@
 
 pub mod protocol;
 
+use crate::jsonin::json_string;
 use crate::parallel::ShardPool;
 use crate::serve::protocol::{error_response, json_num, ok_response, parse_request, Request};
 use crossbeam::channel::Sender;
@@ -248,7 +249,7 @@ fn handle_tenant_request(
             ok_response(
                 "submit",
                 &[
-                    format!("\"tenant\":{}", crate::batch::json_str(tenant)),
+                    format!("\"tenant\":{}", json_string(tenant)),
                     format!("\"tasks\":{}", entry.tasks.len()),
                 ],
             )
@@ -294,8 +295,8 @@ fn handle_tenant_request(
             ok_response(
                 "schedule",
                 &[
-                    format!("\"tenant\":{}", crate::batch::json_str(tenant)),
-                    format!("\"policy\":{}", crate::batch::json_str(policy)),
+                    format!("\"tenant\":{}", json_string(tenant)),
+                    format!("\"policy\":{}", json_string(policy)),
                     format!("\"mode\":\"{mode}\""),
                     format!("\"n\":{}", instance.n()),
                     format!("\"cost\":{}", json_num(cost)),
@@ -312,7 +313,7 @@ fn handle_tenant_request(
             Some(entry) => ok_response(
                 "metrics",
                 &[
-                    format!("\"tenant\":{}", crate::batch::json_str(tenant)),
+                    format!("\"tenant\":{}", json_string(tenant)),
                     format!("\"tasks\":{}", entry.tasks.len()),
                     format!("\"solves\":{}", entry.solves),
                     format!(
@@ -332,7 +333,7 @@ fn metrics_response(counters: &Counters, shards: usize) -> String {
     let snap = counters.snapshot();
     let mut fields = vec![format!("\"shards\":{shards}")];
     for (i, name) in ServeMetrics::NAMES.iter().enumerate() {
-        fields.push(format!("{}:{}", crate::batch::json_str(name), snap.get(i)));
+        fields.push(format!("{}:{}", json_string(name), snap.get(i)));
     }
     ok_response("metrics", &fields)
 }
@@ -388,7 +389,7 @@ fn handle_connection(
                                 "\"path\":{}",
                                 trace_path
                                     .as_deref()
-                                    .map_or("null".to_string(), crate::batch::json_str)
+                                    .map_or("null".to_string(), json_string)
                             ),
                         ],
                     ),

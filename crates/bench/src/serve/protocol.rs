@@ -23,8 +23,12 @@
 //! `"ok":true` plus verb-specific fields, or `"ok":false` with an
 //! `"error"` string; protocol errors never close the connection.
 
-use crate::batch::json_str;
 use crate::jsonin::{self, Json};
+
+/// The crate's one JSON string writer, re-exported so protocol *clients*
+/// (the `msched` subcommands) build request lines with the same escaping
+/// the daemon decodes.
+pub use crate::jsonin::json_string;
 
 /// A parsed daemon request.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,27 +131,19 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
 /// The `"ok":false` response for a protocol or handler error.
 pub fn error_response(message: &str) -> String {
-    format!("{{\"ok\":false,\"error\":{}}}", json_str(message))
+    format!("{{\"ok\":false,\"error\":{}}}", json_string(message))
 }
 
 /// An `"ok":true` response: `fields` are pre-rendered `"key":value`
 /// pairs appended after the op tag.
 pub fn ok_response(op: &str, fields: &[String]) -> String {
-    let mut out = format!("{{\"ok\":true,\"op\":{}", json_str(op));
+    let mut out = format!("{{\"ok\":true,\"op\":{}", json_string(op));
     for f in fields {
         out.push(',');
         out.push_str(f);
     }
     out.push('}');
     out
-}
-
-/// JSON-escape a string into a quoted literal — the crate's shared
-/// writer helper, re-exported here so protocol *clients* (the `msched`
-/// subcommands) build request lines with the same escaping the daemon
-/// decodes.
-pub fn json_string(s: &str) -> String {
-    json_str(s)
 }
 
 /// Render an f64 as a JSON number, bit-faithfully (`{:?}` round-trips

@@ -10,8 +10,9 @@
 
 use malleable_bench::batch::BatchGrid;
 use malleable_bench::perf::min_wall_attributed;
-use malleable_core::algos::makespan::min_lmax_in;
-use malleable_core::algos::parametric::{ProbeSession, ProbeTelemetry, SolveMode};
+use malleable_core::algos::parametric::{
+    frontier, Objective, ProbeSession, ProbeTelemetry, SolveMode,
+};
 use malleable_core::algos::waterfill_fast::wf_feasible_grouped_with_work;
 use malleable_core::algos::wdeq::wdeq_completions;
 use malleable_workloads::{generate, seed_batch, Spec};
@@ -130,7 +131,8 @@ fn min_wall_attributed_traces_every_repetition() {
     let (value, telemetry, wall_us) = min_wall_attributed("itest", REPS, || {
         let mut s = ProbeSession::with_mode(SolveMode::Auto);
         let t0 = std::time::Instant::now();
-        let (lmax, _) = min_lmax_in(&instance, &due, &mut s).expect("solvable");
+        let lateness = Objective::Lateness { due: &due };
+        let (lmax, _) = frontier(&instance, lateness, &mut s).expect("solvable");
         let wall = t0.elapsed().as_secs_f64() * 1e6;
         walls.push(wall);
         (lmax, s.telemetry(), wall)
@@ -214,7 +216,7 @@ fn solvers_outside_a_session_leave_no_trace() {
     );
     let mut s = ProbeSession::with_mode(SolveMode::Auto);
     let due: Vec<f64> = (0..8).map(|i| 0.4 + i as f64 * 0.2).collect();
-    let _ = min_lmax_in(&instance, &due, &mut s).expect("solvable");
+    let _ = frontier(&instance, Objective::Lateness { due: &due }, &mut s).expect("solvable");
     let t: ProbeTelemetry = s.telemetry();
     assert!(t.probes > 0, "the untraced solve still ran");
 

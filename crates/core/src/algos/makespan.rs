@@ -1,26 +1,16 @@
-//! `Cmax` and `Lmax` solvers for work-preserving malleable tasks.
+//! `Cmax` on identical machines, and the Water-Filling feasibility test.
 //!
 //! Table I of the paper recalls that makespan-type objectives are
-//! polynomial for this task model, and Section I notes that Water-Filling
-//! solves the maximum-lateness problem (all release dates zero). Both
-//! solvers live here:
-//!
-//! * [`optimal_makespan`] — the classic two-term lower bound
-//!   `max(ΣVᵢ/P, maxᵢ Vᵢ/min(δᵢ,P))` is *achievable* for work-preserving
-//!   malleable tasks (pour every task at constant rate over `[0, C*]`),
-//!   so it is the optimum.
-//! * [`min_lmax`] — minimal `maxᵢ (Cᵢ − dᵢ)` for due dates `dᵢ`, by
-//!   **parametric search** over the Water-Filling feasibility frontier
-//!   (Theorem 8 makes WF a complete feasibility test; the min-cut Newton
-//!   iteration of [`crate::algos::parametric`] walks the piecewise-linear
-//!   frontier to its exact root).
-//!
-//! Both are generic over the scalar, and both return *exact* optima in
-//! exact arithmetic: `optimal_makespan` is a closed form, and `min_lmax`
-//! terminates combinatorially at the frontier root — there is no
-//! bisection bracket or iteration budget in the contract.
+//! polynomial for this task model: the classic two-term lower bound
+//! `max(ΣVᵢ/P, maxᵢ Vᵢ/min(δᵢ,P))` is *achievable* for work-preserving
+//! malleable tasks (pour every task at constant rate over `[0, C*]`), so
+//! [`optimal_makespan`] is the optimum in closed form — exact on exact
+//! scalars. Maximum lateness, and `Cmax` under release dates or on
+//! heterogeneous machines, are the exact frontier roots of
+//! [`crate::algos::parametric::frontier`], whose identical-machine
+//! `Lmax` oracle is [`deadlines_feasible`] (Theorem 8 makes Water-Filling
+//! a complete feasibility test).
 
-use crate::algos::parametric::{min_lmax_value, Probe, ProbeSession};
 use crate::algos::waterfill::{water_filling, wf_feasible};
 use crate::algos::waterfill_fast::wf_feasible_grouped;
 use crate::error::ScheduleError;
@@ -35,8 +25,8 @@ use numkit::Scalar;
 /// heights measured against the true rate caps) is only a **lower
 /// bound** — polymatroid pair cuts can exceed it (two δ = 1 tasks on
 /// speeds (2, 1, 1) need `2V/3`, not `2V/4`). Use
-/// [`crate::algos::releases::makespan_with_releases`] with zero releases
-/// for the exact related-machines optimum; [`makespan_schedule`] rejects
+/// [`crate::algos::parametric::frontier`] with zero releases for the
+/// exact related-machines optimum; [`makespan_schedule`] rejects
 /// non-uniform machines outright.
 ///
 /// ```
@@ -80,94 +70,6 @@ pub fn makespan_schedule<S: Scalar>(
 /// malformed input so behaviour matches [`wf_feasible`]).
 pub fn deadlines_feasible<S: Scalar>(instance: &Instance<S>, deadlines: &[S]) -> bool {
     wf_feasible_grouped(instance, deadlines).unwrap_or_else(|_| wf_feasible(instance, deadlines))
-}
-
-/// Minimize the maximum lateness `Lmax = maxᵢ (Cᵢ − dᵢ)` against due dates
-/// `due`, with all release dates zero. Returns the **exact** optimal `L`
-/// (the root of the piecewise-linear feasibility frontier — exact on
-/// exact scalars, machine-precision on `f64`) and a witnessing
-/// Water-Filling schedule.
-///
-/// The search starts at the per-task height bound `maxᵢ (hᵢ − dᵢ)` and
-/// jumps along violated-set constraint roots (see
-/// [`crate::algos::parametric`]); it never returns an unconverged
-/// bracket — a pathological float knife-edge surfaces as
-/// [`ScheduleError::Unconverged`] instead.
-///
-/// # Errors
-/// [`ScheduleError::LengthMismatch`]/[`ScheduleError::InvalidTime`] on
-/// malformed input. (The problem itself is always feasible for large
-/// enough `L`.)
-pub fn min_lmax<S: Scalar>(
-    instance: &Instance<S>,
-    due: &[S],
-) -> Result<(S, ColumnSchedule<S>), ScheduleError> {
-    min_lmax_in(instance, due, &mut ProbeSession::new())
-}
-
-/// [`min_lmax`] running its transportation probes through the caller's
-/// [`ProbeSession`] — the entry point for callers that meter the
-/// warm-start telemetry or pin the solve mode (the `exp_perf` bench, the
-/// warm-vs-cold exactness properties).
-///
-/// # Errors
-/// Same contract as [`min_lmax`].
-pub fn min_lmax_in<S: Scalar>(
-    instance: &Instance<S>,
-    due: &[S],
-    session: &mut ProbeSession<S>,
-) -> Result<(S, ColumnSchedule<S>), ScheduleError> {
-    let mut sp = malleable_trace::span("solve.lmax");
-    sp.arg("n", instance.n() as u64);
-    instance.validate()?;
-    if due.len() != instance.n() {
-        return Err(ScheduleError::LengthMismatch {
-            what: "due dates",
-            expected: instance.n(),
-            found: due.len(),
-        });
-    }
-    for d in due {
-        if !d.is_finite() {
-            return Err(ScheduleError::InvalidTime {
-                value: d.to_f64(),
-                context: "due dates",
-            });
-        }
-    }
-    if instance.n() == 0 {
-        // No tasks: lateness is vacuously zero.
-        return Ok((S::zero(), water_filling(instance, &[])?));
-    }
-    if !instance.machine.uniform() {
-        // Heterogeneous related machines: Water-Filling's rate-space
-        // feasibility is not sound there; the transportation flow is both
-        // oracle and witness builder.
-        return crate::algos::related::min_lmax_flow_in(instance, due, session);
-    }
-    // The search never probes below the height bound, so d + L ≥ h ≥ 0
-    // always; the clamp only absorbs f64 rounding at the bound itself.
-    let completions = |l: &S| -> Vec<S> {
-        instance
-            .iter()
-            .zip(due)
-            .map(|((id, t), d)| {
-                (d.clone() + l.clone()).max_of(t.volume.clone() / instance.effective_delta(id))
-            })
-            .collect()
-    };
-    // The Water-Filling oracle answers the probes; the session only runs
-    // flows for the cut extractions the search does itself (warm-started
-    // across consecutive Newton steps).
-    let outcome = min_lmax_value(instance, due, session, |l, _| {
-        Ok(if deadlines_feasible(instance, &completions(l)) {
-            Probe::Feasible
-        } else {
-            Probe::Infeasible(None)
-        })
-    })?;
-    let cs = water_filling(instance, &completions(&outcome.value))?;
-    Ok((outcome.value, cs))
 }
 
 #[cfg(test)]
@@ -228,124 +130,5 @@ mod tests {
         let s = makespan_schedule(&inst).unwrap();
         s.validate(&inst).unwrap(); // zero tolerance
         assert_eq!(s.makespan(), Rational::from_int(8));
-    }
-
-    #[test]
-    fn lmax_zero_due_dates_equals_per_task_makespan() {
-        // With all due dates 0, the optimal common completion is C* — and
-        // the parametric search returns it exactly.
-        let inst = Instance::builder(2.0)
-            .tasks([(2.0, 1.0, 1.0), (2.0, 1.0, 2.0)])
-            .build()
-            .unwrap();
-        let (l, cs) = min_lmax(&inst, &[0.0, 0.0]).unwrap();
-        cs.validate(&inst).unwrap();
-        assert_eq!(l, optimal_makespan(&inst));
-    }
-
-    #[test]
-    fn lmax_respects_heterogeneous_due_dates() {
-        // T0 due early, T1 due late: both fit with L = 0 when deadlines are
-        // generous.
-        let inst = Instance::builder(2.0)
-            .tasks([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
-            .build()
-            .unwrap();
-        let (l, cs) = min_lmax(&inst, &[1.0, 2.0]).unwrap();
-        cs.validate(&inst).unwrap();
-        assert_eq!(l, 0.0, "expected exactly zero lateness");
-    }
-
-    #[test]
-    fn lmax_can_be_negative() {
-        // Plenty of slack: the task finishes at its height 0.25, a full
-        // 9.75 before its due date — exactly.
-        let inst = Instance::builder(4.0).task(1.0, 1.0, 4.0).build().unwrap();
-        let (l, _) = min_lmax(&inst, &[10.0]).unwrap();
-        assert_eq!(l, -9.75);
-    }
-
-    #[test]
-    fn lmax_tight_instance_matches_hand_computation() {
-        // P=1, two unit tasks δ=1, due dates 1 and 1: one must be late by
-        // exactly 1 (one cut iteration from the height bound L = 0).
-        let inst = Instance::builder(1.0)
-            .tasks([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
-            .build()
-            .unwrap();
-        let (l, _) = min_lmax(&inst, &[1.0, 1.0]).unwrap();
-        assert_eq!(l, 1.0);
-    }
-
-    #[test]
-    fn lmax_adversarially_tight_staircase_is_exact() {
-        // Regression for the deleted bisection budget: P = 1, unit tasks
-        // due at i/3 — the optimum L* = n − (n−1)/3 sits off the dyadic
-        // grid, so a bisection bracket could only approach it. The
-        // parametric search must land on it exactly (f64: to the last
-        // ulp of the closed form; Rational: identically), with no
-        // `Unconverged` escape.
-        let n = 7usize;
-        let due_f: Vec<f64> = (0..n).map(|i| i as f64 / 3.0).collect();
-        let inst = Instance::builder(1.0)
-            .tasks((0..n).map(|_| (1.0, 1.0, 1.0)))
-            .build()
-            .unwrap();
-        let (l, cs) = min_lmax(&inst, &due_f).unwrap();
-        cs.validate(&inst).unwrap();
-        let expect = n as f64 - (n as f64 - 1.0) / 3.0;
-        assert!((l - expect).abs() < 1e-12, "f64: {l} vs {expect}");
-
-        use bigratio::Rational;
-        let q = Rational::from_f64_exact;
-        let exact = Instance::<Rational>::builder(q(1.0))
-            .tasks((0..n).map(|_| (q(1.0), q(1.0), q(1.0))))
-            .build()
-            .unwrap();
-        let due_r: Vec<Rational> = (0..n).map(|i| Rational::new(i as i64, 3)).collect();
-        let (lr, csr) = min_lmax(&exact, &due_r).unwrap();
-        csr.validate(&exact).unwrap(); // zero tolerance
-        assert_eq!(lr, Rational::new(7 * 3 - 6, 3), "exact optimum is 5");
-    }
-
-    #[test]
-    fn exact_lmax_requires_a_cut_iteration_and_is_exact() {
-        // P = 1, dues 0 and 1/3: the height bound L = 1 is infeasible, one
-        // violated-set jump lands on L* = 5/3 exactly.
-        use bigratio::Rational;
-        let q = Rational::from_f64_exact;
-        let inst = Instance::<Rational>::builder(q(1.0))
-            .tasks([(q(1.0), q(1.0), q(1.0)), (q(1.0), q(1.0), q(1.0))])
-            .build()
-            .unwrap();
-        let due = [Rational::from_int(0), Rational::new(1, 3)];
-        let (l, cs) = min_lmax(&inst, &due).unwrap();
-        cs.validate(&inst).unwrap();
-        assert_eq!(l, Rational::new(5, 3));
-        // Optimality certificate: any smaller L is infeasible, exactly.
-        let eps = Rational::new(1, 1_000_000);
-        let probe: Vec<Rational> = due
-            .iter()
-            .map(|d| d.clone() + l.clone() - eps.clone())
-            .collect();
-        assert!(!wf_feasible(&inst, &probe));
-    }
-
-    #[test]
-    fn lmax_rejects_bad_input() {
-        let inst = Instance::builder(1.0).task(1.0, 1.0, 1.0).build().unwrap();
-        assert!(min_lmax(&inst, &[1.0, 2.0]).is_err());
-        assert!(min_lmax(&inst, &[f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn lmax_empty_instance_is_trivially_zero() {
-        // n = 0: lateness is vacuously zero and the witness is the empty
-        // schedule — no NaN, no panic, no search.
-        let inst = Instance::new(2.0, vec![]).unwrap();
-        let (l, cs) = min_lmax(&inst, &[]).unwrap();
-        assert_eq!(l, 0.0);
-        assert!(cs.completions.is_empty());
-        cs.validate(&inst).unwrap();
     }
 }

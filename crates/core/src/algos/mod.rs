@@ -6,9 +6,9 @@
 //! | [`waterfill`] | Algorithm 2 — **WF**, the Water-Filling normal form (Theorem 8) |
 //! | [`greedy`] | Algorithm 3 — **Greedy(σ)** schedules (Section V) |
 //! | [`orders`] | Task orderings: Smith's rule and friends |
-//! | [`makespan`] | `Cmax`/`Lmax` solvers built on Water-Filling feasibility (Table I context) |
-//! | [`parametric`] | Exact threshold search over the transportation feasibility frontier (min-cut Newton iteration), speed-level aware |
-//! | [`related`] | Related-machines solvers: flow witnesses, heterogeneous `Lmax`, completion-time Greedy (Fotakis et al. 2019 model) |
+//! | [`makespan`] | Closed-form `Cmax` and the Water-Filling feasibility test (Table I context) |
+//! | [`parametric`] | The frontier search: exact `Lmax` and release-date `Cmax` as roots of the transportation feasibility frontier (min-cut Newton iteration), on every capacity model |
+//! | [`related`] | Related-machines solvers: flow witnesses and completion-time Greedy (Fotakis et al. 2019 model) |
 
 pub(crate) mod events;
 pub mod flow;
@@ -17,7 +17,6 @@ pub mod makespan;
 pub mod orders;
 pub mod parametric;
 pub mod related;
-pub mod releases;
 pub mod waterfill;
 pub mod waterfill_fast;
 pub mod waterfill_int;

@@ -1,15 +1,15 @@
-//! **Parametric threshold search** over the transportation feasibility
-//! frontier — the engine that makes `min_lmax` and
-//! `makespan_with_releases` return *exact* optima instead of bisection
-//! brackets, on identical **and related** machines.
+//! **The frontier search**: [`frontier`] returns the *exact* optimum of
+//! maximum lateness or release-date makespan, on identical, related,
+//! submodular and restricted machines alike, as the root of one
+//! feasibility frontier.
 //!
-//! Both solvers minimize a scalar parameter `λ` subject to a monotone
-//! feasibility predicate:
+//! Both objectives ([`Objective`]) minimize a scalar parameter `λ`
+//! subject to a monotone feasibility predicate:
 //!
-//! * `min_lmax`: deadlines `Dᵢ(λ) = dᵢ + λ` must be feasible (Theorem 8
+//! * `Lateness`: deadlines `Dᵢ(λ) = dᵢ + λ` must be feasible (Theorem 8
 //!   on identical machines; the transportation flow in general);
-//! * `makespan_with_releases`: the common deadline `λ` must be reachable
-//!   by the release-date transportation problem.
+//! * `Makespan`: the common deadline `λ` must be reachable by the
+//!   release-date transportation problem.
 //!
 //! Feasibility of either problem is a transportation question over the
 //! machine's **speed levels** (see [`crate::machine`]): between
@@ -48,7 +48,9 @@
 //! tolerance, with a slack-sized nudge guarding against knife-edge
 //! stalls. A generous safety cap turns a pathological float cycle into an
 //! explicit [`ScheduleError::Unconverged`] instead of a silent bracket —
-//! the tests assert it never fires.
+//! the tests assert it never fires. The related-machines greedy
+//! ([`crate::algos::related::greedy_related`]) walks the same loop for
+//! each task's earliest feasible completion.
 //!
 //! Successive probes run through one [`ProbeSession`]: the
 //! [`FlowNetwork`] arena, the arc topology, and the **residual of the
@@ -61,9 +63,13 @@
 //! probe against a cold reference).
 
 use crate::algos::flow::{FlowNetwork, FlowStats};
+use crate::algos::makespan::deadlines_feasible;
+use crate::algos::related::flow_witness;
+use crate::algos::waterfill::water_filling;
 use crate::error::ScheduleError;
-use crate::instance::Instance;
+use crate::instance::{Instance, TaskId};
 use crate::machine::{coalesce_levels, RankOracle, SpeedLevel};
+use crate::schedule::column::{Column, ColumnSchedule};
 use malleable_trace::MetricSet;
 use numkit::{Scalar, Tolerance};
 
@@ -120,6 +126,25 @@ pub struct ViolatedSet<S> {
     pub volume: S,
     /// `cap_T` at the probed parameter value (for diagnostics).
     pub capacity: S,
+}
+
+impl<S: Scalar> ViolatedSet<S> {
+    /// The set `tasks` with its volume and its capacity under `releases`
+    /// and `deadlines`.
+    fn new(
+        instance: &Instance<S>,
+        tasks: Vec<usize>,
+        releases: Option<&[S]>,
+        deadlines: &[S],
+    ) -> Self {
+        let volume = S::sum(tasks.iter().map(|&i| instance.tasks[i].volume.clone()));
+        let capacity = set_capacity(instance, &tasks, releases, deadlines);
+        ViolatedSet {
+            tasks,
+            volume,
+            capacity,
+        }
+    }
 }
 
 /// The node/edge layout of a transportation network built by
@@ -426,9 +451,8 @@ impl MetricSet for ProbeTelemetry {
 
 /// One reusable transportation-probe workspace: the [`FlowNetwork`]
 /// arena, the cached arc topology and residual of the last probe, and the
-/// layout/capacity bookkeeping — everything the three parametric
-/// consumers (`min_lmax`, `makespan_with_releases`, the related-machines
-/// solvers) previously threaded by hand.
+/// layout/capacity bookkeeping — shared by every probe of a
+/// [`frontier`] search and of the related-machines greedy.
 ///
 /// Consecutive probes of a parametric search differ only in a handful of
 /// arc capacities (deadlines shift; the interval structure is stable once
@@ -600,21 +624,24 @@ impl<S: Scalar> ProbeSession<S> {
     }
 }
 
-/// Read the routed flow of a saturated transport solve back out as
-/// per-(task, interval) constant rates, with each task's total area
-/// snapped onto its exact volume (a no-op in exact arithmetic where the
-/// flow saturates exactly; far inside every validation tolerance on
-/// `f64`, whose flow can be short by [`saturation_slack`]). Near-zero
-/// residues and zero-length intervals are dropped. Shared by the `Cmax`
-/// witness ([`crate::algos::releases`]) and the related-machines column
-/// witness ([`crate::algos::related`]).
-pub(crate) fn snapped_interval_rates<S: Scalar>(
+/// The column schedule routed by the session's last solve, which must
+/// have saturated: one column per interval of its layout, each task at
+/// its average rate there, with each task's total area snapped onto its
+/// exact volume (a no-op in exact arithmetic where the flow saturates
+/// exactly; far inside every validation tolerance on `f64`, whose flow
+/// can be short by the saturation slack of [`violated_set`]). Near-zero
+/// residues and zero-length intervals are dropped, and each completion is
+/// the end of the task's last positive allocation.
+pub(crate) fn flow_columns<S: Scalar>(
     instance: &Instance<S>,
-    layout: &TransportLayout<S>,
-    net: &FlowNetwork<S>,
-    tol: &Tolerance<S>,
-) -> Vec<Vec<(usize, S)>> {
-    let mut out = Vec::with_capacity(instance.n());
+    session: &ProbeSession<S>,
+) -> ColumnSchedule<S> {
+    let n = instance.n();
+    let tol = Tolerance::<S>::for_instance(n);
+    let layout = session.layout();
+    let net = session.network();
+    let mut col_rates: Vec<Vec<(TaskId, S)>> = vec![Vec::new(); layout.intervals.len()];
+    let mut completions = vec![S::zero(); n];
     for (i, task) in instance.tasks.iter().enumerate() {
         let mut pieces: Vec<(usize, S)> = Vec::new();
         let mut area = S::zero();
@@ -627,76 +654,97 @@ pub(crate) fn snapped_interval_rates<S: Scalar>(
                 pieces.push((*j, vol / len));
             }
         }
-        if area.is_positive() {
-            let scale = task.volume.clone() / area;
-            for (_, rate) in &mut pieces {
-                *rate = rate.clone() * scale.clone();
-            }
+        if pieces.is_empty() {
+            continue;
         }
-        out.push(pieces);
+        let scale = task.volume.clone() / area;
+        for (j, rate) in pieces {
+            completions[i] = completions[i].clone().max_of(layout.intervals[j].1.clone());
+            col_rates[j].push((TaskId(i), rate * scale.clone()));
+        }
     }
-    out
+    let columns = layout
+        .intervals
+        .iter()
+        .zip(col_rates)
+        .map(|((a, b), rates)| Column {
+            start: a.clone(),
+            end: b.clone(),
+            rates,
+        })
+        .collect();
+    ColumnSchedule {
+        p: instance.p.clone(),
+        completions,
+        columns,
+    }
 }
 
-/// The saturation slack of a transport solve: the *unscaled* base
-/// tolerance (zero for exact scalars), matching the release-date solver's
-/// tight acceptance criterion.
-pub(crate) fn saturation_slack<S: Scalar>(total_volume: &S) -> S {
-    let base = S::default_tolerance();
-    base.rel * total_volume.clone() + base.abs * S::from_f64(1e-3)
-}
-
-/// Feasibility of per-task `deadlines` under per-task `releases` as a
-/// transportation problem, with min-cut certificate extraction on
-/// failure. Returns `Ok(None)` when the flow saturates (feasible) and
-/// `Ok(Some(set))` with the violated task set otherwise. The `session`
-/// workspace warm-starts from its previous probe where possible.
+/// Feasibility of per-task `deadlines` under optional `releases` as one
+/// transportation solve through `session` (warm-started from its previous
+/// probe where possible): `None` when the flow saturates every volume,
+/// otherwise the violated set on the source side of the min cut. Every
+/// flow oracle, the [`flow_witness`] error path and
+/// [`feasible_with_releases`] go through here.
 ///
-/// Inputs are assumed pre-validated by the callers (`min_lmax` /
-/// `makespan_with_releases` validate the instance and vectors first);
-/// deadlines must be positive and at least `rᵢ + hᵢ` for every task —
-/// both solvers guarantee this by starting at the trivial lower bounds.
-pub(crate) fn violated_set_in<S: Scalar>(
-    instance: &Instance<S>,
-    releases: Option<&[S]>,
-    deadlines: &[S],
-    session: &mut ProbeSession<S>,
-) -> Result<Option<ViolatedSet<S>>, ScheduleError> {
-    let n = instance.n();
-    let flow = session.solve(instance, releases, deadlines);
-    let total_volume = instance.total_volume();
-    if flow + saturation_slack(&total_volume) >= total_volume {
-        return Ok(None);
-    }
-
-    // Min-cut certificate: tasks reachable from the source in the
-    // residual network form a violated set T with V(T) > cap_T.
-    let tasks = session.min_cut_tasks(n);
-    let volume = S::sum(tasks.iter().map(|&i| instance.tasks[i].volume.clone()));
-    let capacity = set_capacity(instance, &tasks, releases, deadlines);
-    Ok(Some(ViolatedSet {
-        tasks,
-        volume,
-        capacity,
-    }))
-}
-
-/// [`violated_set_in`] with a one-shot workspace (unit tests).
-#[cfg(test)]
+/// Inputs are assumed pre-validated; deadlines must be positive and at
+/// least `rᵢ + hᵢ` for every task — the searches guarantee this by
+/// starting at the trivial lower bounds.
 pub(crate) fn violated_set<S: Scalar>(
     instance: &Instance<S>,
     releases: Option<&[S]>,
     deadlines: &[S],
-) -> Result<Option<ViolatedSet<S>>, ScheduleError> {
-    let mut session = ProbeSession::new();
-    violated_set_in(instance, releases, deadlines, &mut session)
+    session: &mut ProbeSession<S>,
+) -> Option<ViolatedSet<S>> {
+    let flow = session.solve(instance, releases, deadlines);
+    let total_volume = instance.total_volume();
+    // Saturation must be tight: the slack is the *unscaled* base tolerance
+    // (relative part only, plus a vanishing absolute term — exactly zero
+    // for exact scalars). A looser comparison lets the searches accept
+    // deadlines that are short by more than the witness snap of
+    // [`flow_columns`] can absorb, which surfaces as capacity excess in
+    // validation.
+    let base = S::default_tolerance();
+    let slack = base.rel * total_volume.clone() + base.abs * S::from_f64(1e-3);
+    if flow + slack >= total_volume {
+        return None;
+    }
+    // Min-cut certificate: tasks reachable from the source in the
+    // residual network form a violated set T with V(T) > cap_T.
+    let tasks = session.min_cut_tasks(instance.n());
+    Some(ViolatedSet::new(instance, tasks, releases, deadlines))
+}
+
+/// The release-date oracle at the common deadline carried by every entry
+/// of `deadlines`: a task released after (or too close to) it is a
+/// singleton violated set, found without a flow solve; otherwise
+/// [`violated_set`] decides.
+fn release_probe<S: Scalar>(
+    instance: &Instance<S>,
+    releases: &[S],
+    deadlines: &[S],
+    session: &mut ProbeSession<S>,
+) -> Option<ViolatedSet<S>> {
+    let tol = Tolerance::<S>::for_instance(instance.n());
+    for (((id, t), r), d) in instance.iter().zip(releases).zip(deadlines) {
+        let h = t.volume.clone() / instance.effective_delta(id);
+        if r.clone() + h > d.clone() + tol.slack(d.clone(), S::zero()) {
+            return Some(ViolatedSet::new(
+                instance,
+                vec![id.0],
+                Some(releases),
+                deadlines,
+            ));
+        }
+    }
+    violated_set(instance, Some(releases), deadlines, session)
 }
 
 /// `cap_T` — the machine capacity available to task set `T` under the
 /// given releases and deadlines:
 /// `∫ f({i ∈ T : rᵢ ≤ t < Dᵢ}) dt` with `f` the machine's polymatroid
 /// rank, evaluated by sweeping the `2|T|` release/deadline events.
-pub(crate) fn set_capacity<S: Scalar>(
+fn set_capacity<S: Scalar>(
     instance: &Instance<S>,
     tasks: &[usize],
     releases: Option<&[S]>,
@@ -736,9 +784,15 @@ pub(crate) fn set_capacity<S: Scalar>(
 /// `cap_T(λ) = (d₍₁₎ + λ)·f(T) + Σ_{k≥2} (d₍ₖ₎ − d₍ₖ₋₁₎)·f(suffix k)`
 ///
 /// with `f` evaluated over suffixes in due-date order, and the root is
-/// the solution of one linear equation.
-fn lmax_constraint_root<S: Scalar>(instance: &Instance<S>, due: &[S], set: &ViolatedSet<S>) -> S {
-    debug_assert!(!set.tasks.is_empty());
+/// the solution of one linear equation. `None` for an empty set.
+fn lmax_constraint_root<S: Scalar>(
+    instance: &Instance<S>,
+    due: &[S],
+    set: &ViolatedSet<S>,
+) -> Option<S> {
+    if set.tasks.is_empty() {
+        return None;
+    }
     let mut members: Vec<usize> = set.tasks.clone();
     members.sort_by(|&a, &b| due[a].total_cmp_s(&due[b]).then(a.cmp(&b)));
     // Suffix ranks f({members[k..]}) built back to front.
@@ -760,7 +814,7 @@ fn lmax_constraint_root<S: Scalar>(instance: &Instance<S>, due: &[S], set: &Viol
         slope.is_positive(),
         "δ̂ and speeds are positive by validation"
     );
-    (set.volume.clone() - fixed) / slope - due[members[0]].clone()
+    Some((set.volume.clone() - fixed) / slope - due[members[0]].clone())
 }
 
 /// Minimal common deadline `D` satisfying the violated set's constraint
@@ -769,13 +823,15 @@ fn lmax_constraint_root<S: Scalar>(instance: &Instance<S>, due: &[S], set: &Viol
 ///
 /// `cap_T(D) = Σₖ (r₍ₖ₊₁₎ − r₍ₖ₎)·f(prefix k) + (D − r_max)·f(T)`,
 ///
-/// again one linear equation.
+/// again one linear equation. `None` for an empty set.
 fn release_constraint_root<S: Scalar>(
     instance: &Instance<S>,
     releases: &[S],
     set: &ViolatedSet<S>,
-) -> S {
-    debug_assert!(!set.tasks.is_empty());
+) -> Option<S> {
+    if set.tasks.is_empty() {
+        return None;
+    }
     let mut members: Vec<usize> = set.tasks.clone();
     members.sort_by(|&a, &b| releases[a].total_cmp_s(&releases[b]).then(a.cmp(&b)));
     // Capacity of the gaps between consecutive releases (prefix ranks).
@@ -793,117 +849,63 @@ fn release_constraint_root<S: Scalar>(
         slope.is_positive(),
         "δ̂ and speeds are positive by validation"
     );
-    let r_max = releases[members[members.len() - 1]].clone();
-    r_max + (set.volume.clone() - fixed) / slope
+    let r_max = releases[last].clone();
+    Some(r_max + (set.volume.clone() - fixed) / slope)
 }
 
-/// Outcome of one parametric search: the exact threshold plus how it was
-/// reached (exposed for tests and diagnostics).
-#[derive(Debug, Clone)]
-pub struct ParametricOutcome<S> {
-    /// The minimal feasible parameter value.
-    pub value: S,
-    /// Newton steps taken (0 = the trivial lower bound was already
-    /// feasible).
-    pub cut_iterations: usize,
-}
-
-/// How the search parametrizes deadlines.
-enum Parametrization<'a, S> {
-    /// `Dᵢ = dᵢ + λ`, releases all zero.
-    Lateness { due: &'a [S] },
-    /// Common deadline `λ`, per-task releases.
-    Releases { releases: &'a [S] },
-}
-
-/// One probe of the monotone feasibility oracle. Oracles that already
-/// ran the transportation flow attach the min-cut certificate so the
-/// search does not rebuild the network; cheap oracles (the grouped
-/// Water-Filling check) answer `Infeasible(None)` and the search
-/// extracts the cut itself.
+/// One probe of a monotone feasibility oracle. Flow oracles attach the
+/// min-cut certificate of the very solve that failed; `Infeasible(None)`
+/// (the flow saturates while the oracle still rejects — an `f64`
+/// knife-edge) makes the search nudge instead of jump.
 pub(crate) enum Probe<S> {
     /// The probed parameter is feasible.
     Feasible,
-    /// Infeasible, optionally with the violated set already in hand.
+    /// Infeasible, with the violated set when one was found.
     Infeasible(Option<ViolatedSet<S>>),
 }
 
-/// Shared Newton loop. `start` must be a valid lower bound on the optimum
-/// (the callers pass the max of the closed-form singleton/area bounds),
-/// and `probe` the monotone oracle the final answer must satisfy —
-/// Water-Filling for the identical-machine Lmax (so the witness
-/// construction cannot disagree with the verdict), the transportation
-/// flow itself everywhere else. The probe receives the caller's
-/// [`ProbeSession`], so flow-backed oracles and the search's own cut
-/// extraction share one warm residual.
-fn parametric_search<S: Scalar>(
-    instance: &Instance<S>,
-    param: Parametrization<'_, S>,
+impl<S> Probe<S> {
+    /// The verdict of a flow oracle: feasible iff no set is violated.
+    pub(crate) fn flow(cut: Option<ViolatedSet<S>>) -> Self {
+        cut.map_or(Probe::Feasible, |set| Probe::Infeasible(Some(set)))
+    }
+}
+
+/// The Newton walk along the frontier, shared by every search: from
+/// `start` (a valid lower bound on the optimum), probe the deadlines at
+/// `λ`; stop on the first feasible `λ`, else jump to the `root` of the
+/// violated set's constraint. `n` sizes the comparison slack and the
+/// iteration cap; `what` labels the [`ScheduleError::Unconverged`] that
+/// the cap turns a float-knife-edge cycle into.
+///
+/// Termination is combinatorial — each violated set is visited at most
+/// once, since its constraint holds for good past its root. Exact scalars
+/// always make strict progress; floats may round the root back onto `λ`
+/// (or find no usable cut), in which case a slack-sized nudge keeps the
+/// search moving toward the oracle's acceptance band.
+pub(crate) fn newton<S: Scalar>(
+    n: usize,
     start: S,
-    session: &mut ProbeSession<S>,
-    mut probe: impl FnMut(&S, &mut ProbeSession<S>) -> Result<Probe<S>, ScheduleError>,
     what: &'static str,
-) -> Result<ParametricOutcome<S>, ScheduleError> {
-    let n = instance.n();
+    session: &mut ProbeSession<S>,
+    deadlines_at: impl Fn(&S) -> Vec<S>,
+    mut probe: impl FnMut(&S, &[S], &mut ProbeSession<S>) -> Probe<S>,
+    root: impl Fn(&[S], &ViolatedSet<S>) -> Option<S>,
+) -> Result<S, ScheduleError> {
     let tol = Tolerance::<S>::for_instance(n);
     let mut lambda = start;
-    // Termination is combinatorial (each violated set is visited at most
-    // once); the cap only exists to turn a float-knife-edge cycle into an
-    // explicit error. 16 sets per task plus slack is far beyond anything
-    // the tests (or adversarial instances) reach.
+    // 16 sets per task plus slack is far beyond anything the tests (or
+    // adversarial instances) reach.
     let max_iters = 16 * (n + 4);
-    for cut_iterations in 0..max_iters {
-        let cut = match probe(&lambda, session)? {
-            Probe::Feasible => {
-                return Ok(ParametricOutcome {
-                    value: lambda,
-                    cut_iterations,
-                })
-            }
-            Probe::Infeasible(cut) => cut,
+    for _ in 0..max_iters {
+        let deadlines = deadlines_at(&lambda);
+        let next = match probe(&lambda, &deadlines, session) {
+            Probe::Feasible => return Ok(lambda),
+            Probe::Infeasible(cut) => cut.and_then(|set| root(&deadlines, &set)),
         };
-        // Oracles without their own flow hand back no cut: build the
-        // transportation network for the probed parameter and extract it.
-        let cut = match cut {
-            Some(set) => Some(set),
-            None => {
-                let deadlines: Vec<S> = match &param {
-                    Parametrization::Lateness { due } => {
-                        due.iter().map(|d| d.clone() + lambda.clone()).collect()
-                    }
-                    Parametrization::Releases { .. } => vec![lambda.clone(); n],
-                };
-                let releases = match &param {
-                    Parametrization::Lateness { .. } => None,
-                    Parametrization::Releases { releases } => Some(*releases),
-                };
-                violated_set_in(instance, releases, &deadlines, session)?
-            }
-        };
-        let next = match cut {
-            // An empty cut can only appear on an f64 knife-edge (the flow
-            // deficit sits inside Dinic's ε while the saturation check
-            // still rejects); the constraint roots need a non-empty set,
-            // so fall through to the slack-nudge instead.
-            Some(set) if !set.tasks.is_empty() => match &param {
-                Parametrization::Lateness { due } => lmax_constraint_root(instance, due, &set),
-                Parametrization::Releases { releases } => {
-                    release_constraint_root(instance, releases, &set)
-                }
-            },
-            // No (usable) cut: the flow saturates but the oracle still
-            // says infeasible — a float knife-edge (impossible on exact
-            // scalars, where both agree). Nudge by the comparison slack
-            // and re-test.
+        lambda = match next {
+            Some(next) if next > lambda => next,
             _ => lambda.clone() + tol.slack(lambda.clone(), S::one()),
-        };
-        // Exact scalars always make strict progress; floats may round the
-        // root back onto λ, in which case the slack-nudge keeps the search
-        // moving toward the oracle's acceptance band.
-        lambda = if next > lambda {
-            next
-        } else {
-            lambda.clone() + tol.slack(lambda.clone(), S::one())
         };
     }
     Err(ScheduleError::Unconverged {
@@ -912,71 +914,264 @@ fn parametric_search<S: Scalar>(
     })
 }
 
-/// Exact minimal `Lmax` parameter for due dates `due` (callers build the
-/// witness schedule from the returned value). Assumes a validated
-/// instance with `n ≥ 1` and finite due dates.
-pub(crate) fn min_lmax_value<S: Scalar>(
-    instance: &Instance<S>,
-    due: &[S],
-    session: &mut ProbeSession<S>,
-    probe: impl FnMut(&S, &mut ProbeSession<S>) -> Result<Probe<S>, ScheduleError>,
-) -> Result<ParametricOutcome<S>, ScheduleError> {
-    // Trivial lower bound: every task needs its height, so L ≥ hᵢ − dᵢ
-    // (the singleton constraints' roots). This also pins every probed
-    // deadline at ≥ hᵢ > 0, which makes cap_T affine from here on.
-    let start = instance
-        .iter()
-        .zip(due)
-        .map(|((id, t), d)| t.volume.clone() / instance.effective_delta(id) - d.clone())
-        .reduce(S::max_of)
-        .expect("caller guarantees n ≥ 1");
-    parametric_search(
-        instance,
-        Parametrization::Lateness { due },
-        start,
-        session,
-        probe,
-        "parametric min-Lmax search",
-    )
+/// What a [`frontier`] search minimizes.
+#[derive(Debug)]
+pub enum Objective<'a, S> {
+    /// `Lmax = maxᵢ (Cᵢ − dᵢ)` against due dates, all releases zero. On
+    /// uniform machines Water-Filling is the oracle and builds the witness
+    /// (Theorem 8 makes it a complete feasibility test); elsewhere the
+    /// transportation flow does both.
+    Lateness {
+        /// Per-task due dates `dᵢ` (any finite sign).
+        due: &'a [S],
+    },
+    /// [`Objective::Lateness`] with the transportation flow as oracle and
+    /// witness on every machine model — the same `L*`, a flow witness.
+    FlowLateness {
+        /// Per-task due dates `dᵢ` (any finite sign).
+        due: &'a [S],
+    },
+    /// `Cmax` under per-task release dates: the minimal common deadline.
+    Makespan {
+        /// Per-task release dates `rᵢ ≥ 0`.
+        releases: &'a [S],
+    },
 }
 
-/// Exact minimal common deadline under release dates (callers build the
-/// witness from the returned value). Assumes a validated instance with
-/// `n ≥ 1` and valid releases.
-pub(crate) fn min_release_makespan_value<S: Scalar>(
+// Borrowed vectors only, so copyable whatever the scalar.
+impl<S> Clone for Objective<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for Objective<'_, S> {}
+
+/// The per-task *height* on this machine: `hᵢ = Vᵢ / rate_cap(δᵢ)`, the
+/// minimal possible running time.
+pub(crate) fn heights<S: Scalar>(instance: &Instance<S>) -> Vec<S> {
+    instance
+        .iter()
+        .map(|(id, t)| t.volume.clone() / instance.effective_delta(id))
+        .collect()
+}
+
+/// Reject a per-task time vector of the wrong length (`what`) or with a
+/// non-finite — or, unless `signed`, negative — entry (`context`).
+pub(crate) fn check_times<S: Scalar>(
+    n: usize,
+    times: &[S],
+    what: &'static str,
+    context: &'static str,
+    signed: bool,
+) -> Result<(), ScheduleError> {
+    if times.len() != n {
+        return Err(ScheduleError::LengthMismatch {
+            what,
+            expected: n,
+            found: times.len(),
+        });
+    }
+    match times
+        .iter()
+        .find(|t| !t.is_finite() || (!signed && t.is_negative()))
+    {
+        Some(t) => Err(ScheduleError::InvalidTime {
+            value: t.to_f64(),
+            context,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The **exact** optimum of `objective` — the root of the feasibility
+/// frontier, exact on exact scalars and machine-precision on `f64` — with
+/// a witnessing schedule. Every transportation probe, and the witness
+/// solve, runs through `session`; callers that do not meter probes pass
+/// `&mut ProbeSession::new()`.
+///
+/// The search starts at the closed-form lower bound (`maxᵢ (hᵢ − dᵢ)` for
+/// lateness; `maxᵢ (rᵢ + hᵢ)` and the area bound from the earliest
+/// release for makespan) and jumps along violated-set constraint roots
+/// (see the module docs). It never returns a bracket: a pathological
+/// float knife-edge surfaces as [`ScheduleError::Unconverged`].
+///
+/// ```
+/// use malleable_core::algos::parametric::{frontier, Objective, ProbeSession};
+/// use malleable_core::instance::Instance;
+///
+/// // One task released at t = 5 with minimal running time 2 ⇒ Cmax = 7.
+/// let inst = Instance::builder(2.0).task(4.0, 1.0, 2.0).build().unwrap();
+/// let makespan = Objective::Makespan { releases: &[5.0] };
+/// let (cmax, witness) = frontier(&inst, makespan, &mut ProbeSession::new()).unwrap();
+/// assert_eq!(cmax, 7.0);
+/// assert_eq!(witness.makespan(), 7.0);
+///
+/// // Due at 10, the same task finishes 8 early.
+/// let lateness = Objective::Lateness { due: &[10.0] };
+/// let (lmax, _) = frontier(&inst, lateness, &mut ProbeSession::new()).unwrap();
+/// assert_eq!(lmax, -8.0);
+/// ```
+///
+/// # Errors
+/// [`ScheduleError::LengthMismatch`]/[`ScheduleError::InvalidTime`] on
+/// malformed input (non-finite due dates; negative or non-finite
+/// releases), instance validation failures, or
+/// [`ScheduleError::Unconverged`]. The problem itself is always feasible
+/// for a large enough parameter.
+pub fn frontier<S: Scalar>(
+    instance: &Instance<S>,
+    objective: Objective<'_, S>,
+    session: &mut ProbeSession<S>,
+) -> Result<(S, ColumnSchedule<S>), ScheduleError> {
+    let n = instance.n();
+    let (span, times, what, signed) = match objective {
+        Objective::Lateness { due } | Objective::FlowLateness { due } => {
+            ("solve.lmax", due, "due dates", true)
+        }
+        Objective::Makespan { releases } => ("solve.cmax", releases, "release dates", false),
+    };
+    let mut sp = malleable_trace::span(span);
+    sp.arg("n", n as u64);
+    instance.validate()?;
+    check_times(n, times, what, what, signed)?;
+    if n == 0 {
+        // No tasks: the objective is vacuously zero, the witness empty.
+        return Ok((
+            S::zero(),
+            ColumnSchedule {
+                p: instance.p.clone(),
+                completions: vec![],
+                columns: vec![],
+            },
+        ));
+    }
+    let hs = heights(instance);
+    match objective {
+        Objective::Lateness { due } | Objective::FlowLateness { due } => {
+            // Trivial lower bound: every task needs its height, so
+            // L ≥ hᵢ − dᵢ (the singleton constraints' roots). The search
+            // never probes below it, so d + L ≥ h ≥ 0 always; the clamp
+            // only absorbs f64 rounding at the bound itself.
+            let start = hs
+                .iter()
+                .zip(due)
+                .map(|(h, d)| h.clone() - d.clone())
+                .reduce(S::max_of)
+                .expect("n ≥ 1 checked above");
+            let clamped = |l: &S| -> Vec<S> {
+                due.iter()
+                    .zip(&hs)
+                    .map(|(d, h)| (d.clone() + l.clone()).max_of(h.clone()))
+                    .collect()
+            };
+            let root = |_: &[S], set: &ViolatedSet<S>| lmax_constraint_root(instance, due, set);
+            let what = "parametric min-Lmax search";
+            if matches!(objective, Objective::Lateness { .. }) && instance.machine.uniform() {
+                // Water-Filling answers the probes and builds the witness,
+                // so the two cannot disagree; the session only runs the
+                // cut extractions, at the unclamped deadlines dᵢ + λ.
+                let wf_probe = |l: &S, d: &[S], session: &mut ProbeSession<S>| {
+                    if deadlines_feasible(instance, d) {
+                        return Probe::Feasible;
+                    }
+                    let unclamped: Vec<S> = due.iter().map(|d| d.clone() + l.clone()).collect();
+                    Probe::Infeasible(violated_set(instance, None, &unclamped, session))
+                };
+                let l = newton(n, start, what, session, clamped, wf_probe, root)?;
+                let witness = water_filling(instance, &clamped(&l))?;
+                return Ok((l, witness));
+            }
+            // The flow is oracle and witness builder: probe k's flow warm
+            // starts probe k + 1, and the witness re-solves the accepted
+            // deadlines on the residual that just accepted them.
+            let flow_probe = |_: &S, d: &[S], session: &mut ProbeSession<S>| {
+                Probe::flow(violated_set(instance, None, d, session))
+            };
+            let l = newton(n, start, what, session, clamped, flow_probe, root)?;
+            let witness = flow_witness(instance, None, &clamped(&l), session)?;
+            Ok((l, witness))
+        }
+        Objective::Makespan { releases } => {
+            // Trivial lower bounds: no task finishes before rᵢ + hᵢ
+            // (singleton roots), and the machine cannot beat the area bound
+            // measured from the earliest release (the whole-set constraint
+            // when P binds).
+            let mut start = S::zero();
+            for (r, h) in releases.iter().zip(&hs) {
+                start = start.max_of(r.clone() + h.clone());
+            }
+            let rmin = releases
+                .iter()
+                .cloned()
+                .reduce(S::min_of)
+                .expect("n ≥ 1 checked above");
+            start = start.max_of(rmin + instance.total_volume() / instance.p.clone());
+            // The flow is the oracle: the accepted probe's flow is the
+            // witness, read off before the session moves on.
+            let mut witness = None;
+            let probe = |_: &S, d: &[S], session: &mut ProbeSession<S>| {
+                let cut = release_probe(instance, releases, d, session);
+                if cut.is_none() {
+                    witness = Some(flow_columns(instance, session));
+                }
+                Probe::flow(cut)
+            };
+            let c = newton(
+                n,
+                start,
+                "parametric release-date Cmax search",
+                session,
+                |c| vec![c.clone(); n],
+                probe,
+                |_, set| release_constraint_root(instance, releases, set),
+            )?;
+            Ok((c, witness.expect("the search accepted a feasible deadline")))
+        }
+    }
+}
+
+/// `true` iff all tasks can finish by `deadline` respecting `releases` —
+/// the oracle of the [`Objective::Makespan`] search, as one probe.
+///
+/// # Errors
+/// [`ScheduleError::LengthMismatch`]/[`ScheduleError::InvalidTime`] on
+/// malformed input.
+pub fn feasible_with_releases<S: Scalar>(
     instance: &Instance<S>,
     releases: &[S],
-    session: &mut ProbeSession<S>,
-    mut probe: impl FnMut(&S, &mut ProbeSession<S>) -> Result<Probe<S>, ScheduleError>,
-) -> Result<ParametricOutcome<S>, ScheduleError> {
-    // Trivial lower bounds: no task finishes before rᵢ + hᵢ (singleton
-    // roots), and the machine cannot beat the area bound measured from
-    // the earliest release (the whole-set constraint when P binds).
-    let mut start = S::zero();
-    for ((id, t), r) in instance.iter().zip(releases) {
-        let h = t.volume.clone() / instance.effective_delta(id);
-        start = start.max_of(r.clone() + h);
-    }
-    let rmin = releases
-        .iter()
-        .cloned()
-        .reduce(S::min_of)
-        .expect("caller guarantees n ≥ 1");
-    start = start.max_of(rmin + instance.total_volume() / instance.p.clone());
-    parametric_search(
-        instance,
-        Parametrization::Releases { releases },
-        start,
-        session,
-        &mut probe,
-        "parametric release-date Cmax search",
-    )
+    deadline: S,
+) -> Result<bool, ScheduleError> {
+    instance.validate()?;
+    let n = instance.n();
+    check_times(n, releases, "release dates", "release dates", false)?;
+    let deadlines = vec![deadline; n];
+    Ok(release_probe(instance, releases, &deadlines, &mut ProbeSession::new()).is_none())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::Instance;
+    use crate::algos::makespan::optimal_makespan;
+    use crate::algos::waterfill::wf_feasible;
+    use bigratio::Rational;
+
+    fn cut(inst: &Instance, deadlines: &[f64]) -> Option<ViolatedSet<f64>> {
+        violated_set(inst, None, deadlines, &mut ProbeSession::new())
+    }
+
+    fn lmax<S: Scalar>(inst: &Instance<S>, due: &[S]) -> (S, ColumnSchedule<S>) {
+        frontier(inst, Objective::Lateness { due }, &mut ProbeSession::new()).unwrap()
+    }
+
+    fn cmax<S: Scalar>(inst: &Instance<S>, releases: &[S]) -> (S, ColumnSchedule<S>) {
+        frontier(
+            inst,
+            Objective::Makespan { releases },
+            &mut ProbeSession::new(),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn violated_set_certifies_infeasibility() {
@@ -985,13 +1180,11 @@ mod tests {
             .tasks([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
             .build()
             .unwrap();
-        let set = violated_set(&inst, None, &[1.0, 1.0])
-            .unwrap()
-            .expect("infeasible");
+        let set = cut(&inst, &[1.0, 1.0]).expect("infeasible");
         assert_eq!(set.tasks, vec![0, 1]);
         assert!(set.volume > set.capacity);
         // Generous deadlines saturate.
-        assert!(violated_set(&inst, None, &[2.0, 2.0]).unwrap().is_none());
+        assert!(cut(&inst, &[2.0, 2.0]).is_none());
     }
 
     #[test]
@@ -1003,9 +1196,7 @@ mod tests {
             .task(1.5, 1.0, 1.0)
             .build()
             .unwrap();
-        let set = violated_set(&inst, None, &[0.9, 1.0])
-            .unwrap()
-            .expect("T1 cannot fit 1.5 at δ = 1 by t = 1");
+        let set = cut(&inst, &[0.9, 1.0]).expect("T1 cannot fit 1.5 at δ = 1 by t = 1");
         assert_eq!(set.tasks, vec![1]);
         assert!(set.volume > set.capacity);
     }
@@ -1040,7 +1231,7 @@ mod tests {
             volume: 2.0,
             capacity: 0.0,
         };
-        let root = lmax_constraint_root(&inst, &[0.0, 0.25], &set);
+        let root = lmax_constraint_root(&inst, &[0.0, 0.25], &set).unwrap();
         assert!((root - 1.75).abs() < 1e-12);
     }
 
@@ -1057,8 +1248,20 @@ mod tests {
             volume: 6.0,
             capacity: 0.0,
         };
-        let root = release_constraint_root(&inst, &[2.0, 2.0], &set);
+        let root = release_constraint_root(&inst, &[2.0, 2.0], &set).unwrap();
         assert!((root - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn roots_of_an_empty_set_defer_to_the_nudge() {
+        let inst = Instance::builder(1.0).task(1.0, 1.0, 1.0).build().unwrap();
+        let set = ViolatedSet {
+            tasks: vec![],
+            volume: 0.0,
+            capacity: 0.0,
+        };
+        assert!(lmax_constraint_root(&inst, &[0.0], &set).is_none());
+        assert!(release_constraint_root(&inst, &[0.0], &set).is_none());
     }
 
     #[test]
@@ -1072,12 +1275,10 @@ mod tests {
         let cap = set_capacity(&inst, &[0, 1], None, &[2.0, 2.0]);
         assert!((cap - 6.0).abs() < 1e-12, "2·min-rank 3 = 6, got {cap}");
         // Both volumes total 6 fit exactly at deadline 2...
-        assert!(violated_set(&inst, None, &[2.0, 2.0]).unwrap().is_none());
+        assert!(cut(&inst, &[2.0, 2.0]).is_none());
         // ...but not a hair earlier, even though the *capacity* relaxation
         // (P = 4, caps 2) would claim 3.6 ≥ 3 + 3 at deadline 1.8.
-        let set = violated_set(&inst, None, &[1.8, 1.8])
-            .unwrap()
-            .expect("speed profile must reject deadline 1.8");
+        let set = cut(&inst, &[1.8, 1.8]).expect("speed profile must reject deadline 1.8");
         assert_eq!(set.tasks, vec![0, 1]);
         assert!(set.volume > set.capacity);
     }
@@ -1096,9 +1297,307 @@ mod tests {
             capacity: 0.0,
         };
         // Both due at 0: cap(λ) = 3λ = 6 ⇒ λ = 2.
-        let root = lmax_constraint_root(&inst, &[0.0, 0.0], &set);
+        let root = lmax_constraint_root(&inst, &[0.0, 0.0], &set).unwrap();
         assert!((root - 2.0).abs() < 1e-12);
-        let root = release_constraint_root(&inst, &[0.0, 0.0], &set);
+        let root = release_constraint_root(&inst, &[0.0, 0.0], &set).unwrap();
         assert!((root - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn lmax_zero_due_dates_equals_per_task_makespan() {
+        // With all due dates 0, the optimal common completion is C* — and
+        // the parametric search returns it exactly.
+        let inst = Instance::builder(2.0)
+            .tasks([(2.0, 1.0, 1.0), (2.0, 1.0, 2.0)])
+            .build()
+            .unwrap();
+        let (l, cs) = lmax(&inst, &[0.0, 0.0]);
+        cs.validate(&inst).unwrap();
+        assert_eq!(l, optimal_makespan(&inst));
+    }
+
+    #[test]
+    fn lmax_respects_heterogeneous_due_dates() {
+        // T0 due early, T1 due late: both fit with L = 0 when deadlines are
+        // generous.
+        let inst = Instance::builder(2.0)
+            .tasks([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
+            .build()
+            .unwrap();
+        let (l, cs) = lmax(&inst, &[1.0, 2.0]);
+        cs.validate(&inst).unwrap();
+        assert_eq!(l, 0.0, "expected exactly zero lateness");
+    }
+
+    #[test]
+    fn lmax_can_be_negative() {
+        // Plenty of slack: the task finishes at its height 0.25, a full
+        // 9.75 before its due date — exactly.
+        let inst = Instance::builder(4.0).task(1.0, 1.0, 4.0).build().unwrap();
+        assert_eq!(lmax(&inst, &[10.0]).0, -9.75);
+    }
+
+    #[test]
+    fn lmax_tight_instance_matches_hand_computation() {
+        // P=1, two unit tasks δ=1, due dates 1 and 1: one must be late by
+        // exactly 1 (one cut iteration from the height bound L = 0).
+        let inst = Instance::builder(1.0)
+            .tasks([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
+            .build()
+            .unwrap();
+        assert_eq!(lmax(&inst, &[1.0, 1.0]).0, 1.0);
+    }
+
+    #[test]
+    fn lmax_adversarially_tight_staircase_is_exact() {
+        // P = 1, unit tasks due at i/3 — the optimum L* = n − (n−1)/3 sits
+        // off the dyadic grid, so a bisection bracket could only approach
+        // it. The parametric search must land on it exactly (f64: to the
+        // last ulp of the closed form; Rational: identically), with no
+        // `Unconverged` escape.
+        let n = 7usize;
+        let due_f: Vec<f64> = (0..n).map(|i| i as f64 / 3.0).collect();
+        let inst = Instance::builder(1.0)
+            .tasks((0..n).map(|_| (1.0, 1.0, 1.0)))
+            .build()
+            .unwrap();
+        let (l, cs) = lmax(&inst, &due_f);
+        cs.validate(&inst).unwrap();
+        let expect = n as f64 - (n as f64 - 1.0) / 3.0;
+        assert!((l - expect).abs() < 1e-12, "f64: {l} vs {expect}");
+
+        let q = Rational::from_f64_exact;
+        let exact = Instance::<Rational>::builder(q(1.0))
+            .tasks((0..n).map(|_| (q(1.0), q(1.0), q(1.0))))
+            .build()
+            .unwrap();
+        let due_r: Vec<Rational> = (0..n).map(|i| Rational::new(i as i64, 3)).collect();
+        let (lr, csr) = lmax(&exact, &due_r);
+        csr.validate(&exact).unwrap(); // zero tolerance
+        assert_eq!(lr, Rational::new(7 * 3 - 6, 3), "exact optimum is 5");
+    }
+
+    #[test]
+    fn exact_lmax_requires_a_cut_iteration_and_is_exact() {
+        // P = 1, dues 0 and 1/3: the height bound L = 1 is infeasible, one
+        // violated-set jump lands on L* = 5/3 exactly.
+        let q = Rational::from_f64_exact;
+        let inst = Instance::<Rational>::builder(q(1.0))
+            .tasks([(q(1.0), q(1.0), q(1.0)), (q(1.0), q(1.0), q(1.0))])
+            .build()
+            .unwrap();
+        let due = [Rational::from_int(0), Rational::new(1, 3)];
+        let (l, cs) = lmax(&inst, &due);
+        cs.validate(&inst).unwrap();
+        assert_eq!(l, Rational::new(5, 3));
+        // Optimality certificate: any smaller L is infeasible, exactly.
+        let eps = Rational::new(1, 1_000_000);
+        let probe: Vec<Rational> = due
+            .iter()
+            .map(|d| d.clone() + l.clone() - eps.clone())
+            .collect();
+        assert!(!wf_feasible(&inst, &probe));
+    }
+
+    #[test]
+    fn flow_lateness_is_exact_on_related_machines() {
+        // speeds (2, 1, 1), two δ = 1 tasks of volume 3 due at 0: the
+        // pair's rank is 3, so L* = 2 (3·L ≥ 6).
+        let q = Rational::from_f64_exact;
+        let inst = Instance::<Rational>::builder(q(0.0))
+            .tasks([(q(3.0), q(1.0), q(1.0)), (q(3.0), q(1.0), q(1.0))])
+            .speeds(vec![q(2.0), q(1.0), q(1.0)])
+            .build()
+            .unwrap();
+        let due = [q(0.0), q(0.0)];
+        let objective = Objective::FlowLateness { due: &due };
+        let (l, cs) = frontier(&inst, objective, &mut ProbeSession::new()).unwrap();
+        assert_eq!(l, Rational::from_int(2));
+        cs.validate(&inst).unwrap(); // zero tolerance, polymatroid included
+                                     // ε below the optimum is exactly infeasible.
+        let eps = Rational::new(1, 1_000_000);
+        let probe = vec![l.clone() - eps.clone(), l - eps];
+        assert!(violated_set(&inst, None, &probe, &mut ProbeSession::new()).is_some());
+    }
+
+    #[test]
+    fn flow_lateness_agrees_with_the_water_filling_path_on_identical_machines() {
+        let inst = Instance::builder(2.0)
+            .tasks([(2.0, 1.0, 1.0), (2.0, 1.0, 2.0)])
+            .build()
+            .unwrap();
+        let objective = Objective::FlowLateness { due: &[0.0, 0.0] };
+        let (via_flow, cs) = frontier(&inst, objective, &mut ProbeSession::new()).unwrap();
+        cs.validate(&inst).unwrap();
+        assert_eq!(via_flow, lmax(&inst, &[0.0, 0.0]).0);
+    }
+
+    #[test]
+    fn lmax_rejects_bad_input() {
+        let inst = Instance::builder(1.0).task(1.0, 1.0, 1.0).build().unwrap();
+        let mut session = ProbeSession::new();
+        for due in [&[1.0, 2.0][..], &[f64::NAN]] {
+            assert!(frontier(&inst, Objective::Lateness { due }, &mut session).is_err());
+            assert!(frontier(&inst, Objective::FlowLateness { due }, &mut session).is_err());
+        }
+    }
+
+    #[test]
+    fn empty_instance_is_trivially_zero() {
+        // n = 0: both objectives are vacuously zero and the witness is the
+        // empty schedule — no NaN, no panic, no search.
+        let inst = Instance::new(2.0, vec![]).unwrap();
+        for objective in [
+            Objective::Lateness { due: &[] },
+            Objective::FlowLateness { due: &[] },
+            Objective::Makespan { releases: &[] },
+        ] {
+            let mut session = ProbeSession::new();
+            let (value, cs) = frontier(&inst, objective, &mut session).unwrap();
+            assert_eq!(value, 0.0);
+            assert!(cs.completions.is_empty());
+            cs.validate(&inst).unwrap();
+            assert_eq!(session.telemetry().probes, 0);
+        }
+    }
+
+    #[test]
+    fn zero_releases_match_plain_makespan() {
+        let inst = Instance::builder(3.0)
+            .tasks([(4.0, 1.0, 2.0), (3.0, 1.0, 1.0), (2.0, 1.0, 3.0)])
+            .build()
+            .unwrap();
+        let (c, cs) = cmax(&inst, &[0.0, 0.0, 0.0]);
+        assert_eq!(c, optimal_makespan(&inst), "parametric solve is exact");
+        cs.validate(&inst).unwrap();
+    }
+
+    #[test]
+    fn late_release_forces_waiting() {
+        // Single task released at 5 with height 2 ⇒ Cmax = 7, exactly.
+        let inst = Instance::builder(2.0).task(4.0, 1.0, 2.0).build().unwrap();
+        let (c, cs) = cmax(&inst, &[5.0]);
+        assert_eq!(c, 7.0);
+        // No allocation before the release.
+        for col in cs.columns.iter().filter(|col| !col.rates.is_empty()) {
+            assert!(col.start >= 5.0 - 1e-9);
+        }
+    }
+
+    #[test]
+    fn staggered_releases_hand_computed() {
+        // P=1, two unit tasks δ=1, releases 0 and 0.5: machine busy from
+        // 0; total volume 2 ⇒ Cmax = 2 (area bound holds from r_min = 0).
+        let inst = Instance::builder(1.0)
+            .tasks([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
+            .build()
+            .unwrap();
+        let (c, cs) = cmax(&inst, &[0.0, 0.5]);
+        assert_eq!(c, 2.0);
+        cs.validate(&inst).unwrap();
+    }
+
+    #[test]
+    fn release_after_area_bound_dominates() {
+        // P=2: a small task at 0, a big one released at 10.
+        let inst = Instance::builder(2.0)
+            .tasks([(1.0, 1.0, 1.0), (4.0, 1.0, 2.0)])
+            .build()
+            .unwrap();
+        assert_eq!(cmax(&inst, &[0.0, 10.0]).0, 12.0);
+    }
+
+    #[test]
+    fn cut_iteration_lands_on_the_exact_optimum() {
+        // Two δ-capped tasks released together at 2 are the critical set:
+        // the trivial bounds say 3.5, the {T1, T2} cut forces
+        // Cmax = 2 + 6/2 = 5 — one Newton jump, exact in both fields.
+        let inst = Instance::builder(2.0)
+            .tasks([(0.5, 1.0, 2.0), (3.0, 1.0, 2.0), (3.0, 1.0, 2.0)])
+            .build()
+            .unwrap();
+        let (c, cs) = cmax(&inst, &[0.0, 2.0, 2.0]);
+        assert_eq!(c, 5.0);
+        cs.validate(&inst).unwrap();
+
+        let q = Rational::from_f64_exact;
+        let exact = Instance::<Rational>::builder(q(2.0))
+            .tasks([
+                (q(0.5), q(1.0), q(2.0)),
+                (q(3.0), q(1.0), q(2.0)),
+                (q(3.0), q(1.0), q(2.0)),
+            ])
+            .build()
+            .unwrap();
+        let releases = [q(0.0), q(2.0), q(2.0)];
+        let (cr, csr) = cmax(&exact, &releases);
+        assert_eq!(cr, Rational::from_int(5));
+        csr.validate(&exact).unwrap(); // zero tolerance
+        assert!(!feasible_with_releases(&exact, &releases, q(4.999)).unwrap());
+    }
+
+    #[test]
+    fn feasibility_is_monotone_in_deadline() {
+        let inst = Instance::builder(2.0)
+            .tasks([(2.0, 1.0, 1.0), (3.0, 1.0, 2.0), (1.0, 1.0, 1.0)])
+            .build()
+            .unwrap();
+        let releases = [0.0, 1.0, 2.0];
+        let (c, _) = cmax(&inst, &releases);
+        assert!(!feasible_with_releases(&inst, &releases, c * 0.98).unwrap());
+        assert!(feasible_with_releases(&inst, &releases, c * 1.02).unwrap());
+    }
+
+    #[test]
+    fn witness_schedule_respects_releases_and_validates() {
+        let inst = Instance::builder(4.0)
+            .tasks([
+                (6.0, 1.0, 2.0),
+                (2.0, 1.0, 4.0),
+                (5.0, 1.0, 3.0),
+                (1.0, 1.0, 1.0),
+            ])
+            .build()
+            .unwrap();
+        let releases = [0.0, 2.0, 1.0, 3.0];
+        let (c, cs) = cmax(&inst, &releases);
+        cs.validate(&inst).unwrap();
+        for col in &cs.columns {
+            for (id, _) in &col.rates {
+                assert!(
+                    col.start >= releases[id.0] - 1e-9,
+                    "task {id:?} ran before its release"
+                );
+            }
+        }
+        assert!(cs.makespan() <= c + 1e-6);
+    }
+
+    #[test]
+    fn exact_release_solve_is_exact_when_the_bound_is_tight() {
+        // Height bound binds at the release: the start value 5 + 2 = 7 is
+        // feasible immediately (zero cut iterations) — and the witness
+        // validates with zero tolerance.
+        let q = Rational::from_f64_exact;
+        let inst = Instance::<Rational>::builder(q(2.0))
+            .task(q(4.0), q(1.0), q(2.0))
+            .build()
+            .unwrap();
+        let (c, cs) = cmax(&inst, &[q(5.0)]);
+        assert_eq!(c, Rational::from_int(7));
+        cs.validate(&inst).unwrap();
+        // Feasibility verdicts are exact certificates on both sides.
+        assert!(!feasible_with_releases(&inst, &[q(5.0)], q(6.999)).unwrap());
+        assert!(feasible_with_releases(&inst, &[q(5.0)], q(7.0)).unwrap());
+    }
+
+    #[test]
+    fn malformed_releases_rejected() {
+        let inst = Instance::builder(1.0).task(1.0, 1.0, 1.0).build().unwrap();
+        let mut session = ProbeSession::new();
+        for releases in [&[0.0, 1.0][..], &[-1.0], &[f64::NAN]] {
+            let objective = Objective::Makespan { releases };
+            assert!(frontier(&inst, objective, &mut session).is_err());
+        }
     }
 }

@@ -14,16 +14,12 @@
 //! * [`flow_witness`] — materialize a valid column schedule for any
 //!   transport-feasible deadline vector, by reading the routed flow of
 //!   the level network back out (the related analogue of Water-Filling's
-//!   witness role, Theorem 8);
-//! * [`min_lmax_flow`] — exact minimal `Lmax` with the transportation
-//!   flow as both oracle and witness builder (used by `min_lmax` for
-//!   heterogeneous instances, and unconditionally by the
-//!   `lmax-parametric-related` policy so the identical/related code path
-//!   is literally the same network);
+//!   witness role, Theorem 8); the exact `Lmax`/`Cmax` optima over any
+//!   capacity model are [`crate::algos::parametric::frontier`]'s;
 //! * [`greedy_related`] — Greedy(σ) re-based on completion times: each
 //!   task in σ-order receives the earliest completion time that keeps the
-//!   prefix transport-feasible, found by the same violated-set Newton
-//!   jumps as the parametric searches.
+//!   prefix transport-feasible, found by the frontier searches' Newton
+//!   walk.
 //!
 //! Everything is generic over the scalar: on `bigratio::Rational` every
 //! verdict, cut, constraint root and witness is exact and validates at
@@ -32,20 +28,21 @@
 //! networks coincide structurally.
 
 use crate::algos::parametric::{
-    min_lmax_value, saturation_slack, set_capacity, snapped_interval_rates, violated_set_in, Probe,
-    ProbeSession, ViolatedSet,
+    check_times, flow_columns, heights, newton, violated_set, Probe, ProbeSession, ViolatedSet,
 };
 use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
 use crate::machine::{MachineModel, RankOracle};
-use crate::schedule::column::{Column, ColumnSchedule};
-use numkit::{Scalar, Tolerance};
+use crate::schedule::column::ColumnSchedule;
+use numkit::Scalar;
 
 /// Build a valid [`ColumnSchedule`] witnessing that every task can finish
 /// by its `deadlines` under the optional `releases`, by solving the
-/// transportation flow over the machine's speed levels and averaging the
-/// routed volume per (task, interval). Completion times are the end of
-/// each task's last positive allocation (≤ its deadline).
+/// transportation flow through `session` and averaging the routed volume
+/// per (task, interval). Completion times are the end of each task's last
+/// positive allocation (≤ its deadline). When the session's last probe
+/// already solved these very deadlines (the hand-off from a search that
+/// just accepted them), the warm solve has nothing to repair or augment.
 ///
 /// # Errors
 /// [`ScheduleError::InfeasibleCompletionTimes`] when the flow does not
@@ -55,41 +52,11 @@ pub fn flow_witness<S: Scalar>(
     instance: &Instance<S>,
     releases: Option<&[S]>,
     deadlines: &[S],
-) -> Result<ColumnSchedule<S>, ScheduleError> {
-    flow_witness_in(instance, releases, deadlines, &mut ProbeSession::new())
-}
-
-/// [`flow_witness`] solving through the caller's [`ProbeSession`]. When
-/// the session's last probe already solved these very deadlines (the
-/// usual hand-off from a parametric search that just accepted them), the
-/// warm solve finds nothing to repair or augment and the witness is read
-/// off the existing residual for free.
-///
-/// # Errors
-/// Same contract as [`flow_witness`].
-pub fn flow_witness_in<S: Scalar>(
-    instance: &Instance<S>,
-    releases: Option<&[S]>,
-    deadlines: &[S],
     session: &mut ProbeSession<S>,
 ) -> Result<ColumnSchedule<S>, ScheduleError> {
     instance.validate()?;
     let n = instance.n();
-    if deadlines.len() != n {
-        return Err(ScheduleError::LengthMismatch {
-            what: "deadlines",
-            expected: n,
-            found: deadlines.len(),
-        });
-    }
-    for d in deadlines {
-        if !d.is_finite() || d.is_negative() {
-            return Err(ScheduleError::InvalidTime {
-                value: d.to_f64(),
-                context: "witness deadlines",
-            });
-        }
-    }
+    check_times(n, deadlines, "deadlines", "witness deadlines", false)?;
     if n == 0 {
         return Ok(ColumnSchedule {
             p: instance.p.clone(),
@@ -97,136 +64,14 @@ pub fn flow_witness_in<S: Scalar>(
             columns: vec![],
         });
     }
-    let tol = Tolerance::<S>::for_instance(n);
-    let flow = session.solve(instance, releases, deadlines);
-    let total_volume = instance.total_volume();
-    if flow + saturation_slack(&total_volume) < total_volume {
-        // Infeasible: surface the min-cut violated set as the certificate.
-        let tasks = session.min_cut_tasks(n);
-        let first = tasks.first().copied().unwrap_or(0);
-        let volume = S::sum(tasks.iter().map(|&i| instance.tasks[i].volume.clone()));
-        let capacity = set_capacity(instance, &tasks, releases, deadlines);
-        return Err(ScheduleError::InfeasibleCompletionTimes {
-            task: TaskId(first),
-            placeable: capacity.to_f64(),
-            required: volume.to_f64(),
-        });
+    match violated_set(instance, releases, deadlines, session) {
+        None => Ok(flow_columns(instance, session)),
+        Some(set) => Err(ScheduleError::InfeasibleCompletionTimes {
+            task: TaskId(set.tasks.first().copied().unwrap_or(0)),
+            placeable: set.capacity.to_f64(),
+            required: set.volume.to_f64(),
+        }),
     }
-
-    // Shared per-(task, interval) snapped rates (see
-    // `parametric::snapped_interval_rates`), packaged as columns.
-    let layout = session.layout();
-    let m = layout.intervals.len();
-    let mut col_rates: Vec<Vec<(TaskId, S)>> = vec![Vec::new(); m];
-    let mut completions = vec![S::zero(); n];
-    let rates = snapped_interval_rates(instance, layout, session.network(), &tol);
-    for (i, pieces) in rates.into_iter().enumerate() {
-        for (j, rate) in pieces {
-            let (_, b) = &layout.intervals[j];
-            completions[i] = completions[i].clone().max_of(b.clone());
-            col_rates[j].push((TaskId(i), rate));
-        }
-    }
-    let columns = layout
-        .intervals
-        .iter()
-        .zip(col_rates)
-        .map(|((a, b), rates)| Column {
-            start: a.clone(),
-            end: b.clone(),
-            rates,
-        })
-        .collect();
-    Ok(ColumnSchedule {
-        p: instance.p.clone(),
-        completions,
-        columns,
-    })
-}
-
-/// The per-task *height* on this machine: `hᵢ = Vᵢ / rate_cap(δᵢ)`, the
-/// minimal possible running time.
-fn heights<S: Scalar>(instance: &Instance<S>) -> Vec<S> {
-    instance
-        .iter()
-        .map(|(id, t)| t.volume.clone() / instance.effective_delta(id))
-        .collect()
-}
-
-/// Exact minimal `Lmax` against due dates `due`, with the transportation
-/// flow as feasibility oracle *and* witness builder — sound on any
-/// machine model, and the only `Lmax` path on heterogeneous related
-/// machines. Returns the exact optimum and a witnessing schedule whose
-/// completions meet the optimal deadlines `max(dᵢ + L*, hᵢ)`.
-///
-/// # Errors
-/// Input validation failures, or [`ScheduleError::Unconverged`] on a
-/// pathological float knife-edge (never on exact scalars).
-pub fn min_lmax_flow<S: Scalar>(
-    instance: &Instance<S>,
-    due: &[S],
-) -> Result<(S, ColumnSchedule<S>), ScheduleError> {
-    min_lmax_flow_in(instance, due, &mut ProbeSession::new())
-}
-
-/// [`min_lmax_flow`] running every probe — and the final witness solve —
-/// through the caller's [`ProbeSession`].
-///
-/// # Errors
-/// Same contract as [`min_lmax_flow`].
-pub fn min_lmax_flow_in<S: Scalar>(
-    instance: &Instance<S>,
-    due: &[S],
-    session: &mut ProbeSession<S>,
-) -> Result<(S, ColumnSchedule<S>), ScheduleError> {
-    instance.validate()?;
-    if due.len() != instance.n() {
-        return Err(ScheduleError::LengthMismatch {
-            what: "due dates",
-            expected: instance.n(),
-            found: due.len(),
-        });
-    }
-    for d in due {
-        if !d.is_finite() {
-            return Err(ScheduleError::InvalidTime {
-                value: d.to_f64(),
-                context: "due dates",
-            });
-        }
-    }
-    if instance.n() == 0 {
-        return Ok((
-            S::zero(),
-            ColumnSchedule {
-                p: instance.p.clone(),
-                completions: vec![],
-                columns: vec![],
-            },
-        ));
-    }
-    let hs = heights(instance);
-    // The search never probes below the height bound, so d + L ≥ h ≥ 0
-    // always; the clamp only absorbs f64 rounding at the bound itself.
-    let deadlines_at = |l: &S| -> Vec<S> {
-        due.iter()
-            .zip(&hs)
-            .map(|(d, h)| (d.clone() + l.clone()).max_of(h.clone()))
-            .collect()
-    };
-    // Every probe runs through the session: the flow of probe k is the
-    // warm start of probe k + 1, and the accepted probe's residual is the
-    // witness solve.
-    let outcome = min_lmax_value(instance, due, session, |l, session| {
-        Ok(
-            match violated_set_in(instance, None, &deadlines_at(l), session)? {
-                None => Probe::Feasible,
-                Some(set) => Probe::Infeasible(Some(set)),
-            },
-        )
-    })?;
-    let witness = flow_witness_in(instance, None, &deadlines_at(&outcome.value), session)?;
-    Ok((outcome.value, witness))
 }
 
 /// Minimal `C` at which the violated set's constraint `V(T) ≤ cap_T(C)`
@@ -315,9 +160,10 @@ fn anchored_constraint_root<S: Scalar>(
 /// **Greedy(σ) on related machines**: insert the tasks in the given
 /// order; each task receives the *earliest completion time* that keeps
 /// the already-placed prefix transport-feasible (earlier tasks keep the
-/// deadlines they were promised). The per-task minimization runs the same
-/// violated-set Newton iteration as the parametric searches — exact on
-/// exact scalars — and the final deadline vector is materialized by
+/// deadlines they were promised). The per-task minimization walks the
+/// Newton loop of the frontier searches ([`crate::algos::parametric`])
+/// from the task's height, jumping to anchored constraint roots — exact
+/// on exact scalars — and the final deadline vector is materialized by
 /// [`flow_witness`]. On identical machines this is the completion-time
 /// formulation of Algorithm 3's greedy principle.
 ///
@@ -335,14 +181,6 @@ pub fn greedy_related<S: Scalar>(
             reason: format!("order is not a permutation of 0..{n}"),
         });
     }
-    if n == 0 {
-        return Ok(ColumnSchedule {
-            p: instance.p.clone(),
-            completions: vec![],
-            columns: vec![],
-        });
-    }
-    let tol = Tolerance::<S>::for_instance(n);
     let hs = heights(instance);
     // One session across the whole insertion sweep: within one task's
     // completion search only that deadline moves (warm solves); when the
@@ -359,7 +197,6 @@ pub fn greedy_related<S: Scalar>(
     let mut prefix = Instance::on(instance.machine.clone(), Vec::new());
     let mut prefix_eligible: Vec<Vec<usize>> = Vec::with_capacity(n);
     let mut deadlines: Vec<S> = Vec::with_capacity(n);
-    let max_iters = 16 * (n + 4);
     for &id in order {
         prefix.tasks.push(instance.task(id).clone());
         if let Some((m, eligible)) = &restricted {
@@ -371,35 +208,22 @@ pub fn greedy_related<S: Scalar>(
             prefix.p = prefix.machine.capacity();
         }
         let cur = prefix.n() - 1;
-        let mut c = hs[id.0].clone();
-        let mut placed = false;
-        for _ in 0..max_iters {
-            deadlines.push(c.clone());
-            let cut = violated_set_in(&prefix, None, &deadlines, &mut session)?;
-            deadlines.pop();
-            let Some(set) = cut else {
-                placed = true;
-                break;
-            };
-            deadlines.push(c.clone());
-            let root = anchored_constraint_root(&prefix, &deadlines, cur, &set);
-            deadlines.pop();
-            let next = match root {
-                Some(r) => r,
-                None => c.clone() + tol.slack(c.clone(), S::one()),
-            };
-            c = if next > c {
-                next
-            } else {
-                c.clone() + tol.slack(c.clone(), S::one())
-            };
-        }
-        if !placed {
-            return Err(ScheduleError::Unconverged {
-                what: "related greedy completion search",
-                iterations: max_iters,
-            });
-        }
+        // The prefix keeps its promised deadlines; only the new task's
+        // completion `c` is the parameter.
+        let with_cur = |c: &S| -> Vec<S> {
+            let mut all = deadlines.clone();
+            all.push(c.clone());
+            all
+        };
+        let c = newton(
+            n,
+            hs[id.0].clone(),
+            "related greedy completion search",
+            &mut session,
+            with_cur,
+            |_, d, session| Probe::flow(violated_set(&prefix, None, d, session)),
+            |d, set| anchored_constraint_root(&prefix, d, cur, set),
+        )?;
         deadlines.push(c);
     }
     // Deadlines back in original task order, then one witness flow (the
@@ -409,7 +233,7 @@ pub fn greedy_related<S: Scalar>(
     for (k, &id) in order.iter().enumerate() {
         by_task[id.0] = deadlines[k].clone();
     }
-    flow_witness_in(instance, None, &by_task, &mut session)
+    flow_witness(instance, None, &by_task, &mut session)
 }
 
 #[cfg(test)]
@@ -429,49 +253,17 @@ mod tests {
     #[test]
     fn flow_witness_validates_on_related_machines() {
         let inst = related_inst();
-        let s = flow_witness(&inst, None, &[4.0, 4.0, 4.0]).unwrap();
+        let mut session = ProbeSession::new();
+        let s = flow_witness(&inst, None, &[4.0, 4.0, 4.0], &mut session).unwrap();
         s.validate(&inst).unwrap();
         for (i, c) in s.completions.iter().enumerate() {
             assert!(*c <= 4.0 + 1e-9, "task {i} past its deadline: {c}");
         }
         // Tight deadlines are rejected with a certificate.
         assert!(matches!(
-            flow_witness(&inst, None, &[1.0, 1.0, 1.0]),
+            flow_witness(&inst, None, &[1.0, 1.0, 1.0], &mut session),
             Err(ScheduleError::InfeasibleCompletionTimes { .. })
         ));
-    }
-
-    #[test]
-    fn min_lmax_flow_is_exact_on_related_machines() {
-        // speeds (2, 1, 1), two δ = 1 unit-due tasks of volume 3: the
-        // pair's rank is 3, so dues 0 give L* = 2 (both by 3·L ≥ 6).
-        let q = Rational::from_f64_exact;
-        let inst = Instance::<Rational>::builder(q(0.0))
-            .tasks([(q(3.0), q(1.0), q(1.0)), (q(3.0), q(1.0), q(1.0))])
-            .speeds(vec![q(2.0), q(1.0), q(1.0)])
-            .build()
-            .unwrap();
-        let (l, cs) = min_lmax_flow(&inst, &[q(0.0), q(0.0)]).unwrap();
-        assert_eq!(l, Rational::from_int(2));
-        cs.validate(&inst).unwrap(); // zero tolerance, polymatroid included
-                                     // ε below the optimum is exactly infeasible.
-        let eps = Rational::new(1, 1_000_000);
-        let probe = vec![l.clone() - eps.clone(), l - eps];
-        assert!(crate::algos::parametric::violated_set(&inst, None, &probe)
-            .unwrap()
-            .is_some());
-    }
-
-    #[test]
-    fn min_lmax_flow_agrees_with_wf_path_on_identical_machines() {
-        let inst = Instance::builder(2.0)
-            .tasks([(2.0, 1.0, 1.0), (2.0, 1.0, 2.0)])
-            .build()
-            .unwrap();
-        let (via_flow, cs) = min_lmax_flow(&inst, &[0.0, 0.0]).unwrap();
-        cs.validate(&inst).unwrap();
-        let (via_wf, _) = crate::algos::makespan::min_lmax(&inst, &[0.0, 0.0]).unwrap();
-        assert_eq!(via_flow, via_wf);
     }
 
     #[test]

@@ -26,10 +26,10 @@ pub use registry::{all, by_name, capable_for, names, related_capable};
 pub use rules::{ActiveTask, AllocationRule};
 
 use crate::algos::greedy::{best_heuristic_greedy, greedy_schedule};
-use crate::algos::makespan::{makespan_schedule, min_lmax};
+use crate::algos::makespan::makespan_schedule;
 use crate::algos::orders;
-use crate::algos::related::{flow_witness, greedy_related, min_lmax_flow};
-use crate::algos::releases::makespan_with_releases;
+use crate::algos::parametric::{frontier, Objective, ProbeSession};
+use crate::algos::related::{flow_witness, greedy_related};
 use crate::algos::waterfill::water_filling;
 use crate::algos::waterfill_fast::wf_feasible_grouped;
 use crate::algos::wdeq::{certificate_of, wdeq_run};
@@ -395,7 +395,8 @@ impl<S: Scalar> SchedulingPolicy<S> for LmaxHeightDue {
             .iter()
             .map(|(id, t)| t.volume.clone() / instance.effective_delta(id))
             .collect();
-        let (_, schedule) = min_lmax(instance, &due)?;
+        let lateness = Objective::Lateness { due: &due };
+        let (_, schedule) = frontier(instance, lateness, &mut ProbeSession::new())?;
         Ok(plain(schedule))
     }
 }
@@ -424,7 +425,8 @@ impl<S: Scalar> SchedulingPolicy<S> for LmaxParametric {
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
         let due: Vec<S> = smith_ratio_dues(instance);
-        let (_, schedule) = min_lmax(instance, &due)?;
+        let lateness = Objective::Lateness { due: &due };
+        let (_, schedule) = frontier(instance, lateness, &mut ProbeSession::new())?;
         Ok(plain(schedule))
     }
 }
@@ -468,9 +470,11 @@ impl<S: Scalar> SchedulingPolicy<S> for MakespanParametric {
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
         let releases = vec![S::zero(); instance.n()];
-        let r = makespan_with_releases(instance, &releases)?;
-        let tol = Tolerance::<S>::for_instance(instance.n());
-        Ok(plain(step_to_column(&r.schedule, tol)))
+        let makespan = Objective::Makespan {
+            releases: &releases,
+        };
+        let (_, schedule) = frontier(instance, makespan, &mut ProbeSession::new())?;
+        Ok(plain(schedule))
     }
 }
 
@@ -540,7 +544,7 @@ impl<S: Scalar> SchedulingPolicy<S> for WaterFillRelated {
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
         let completions = rules::replay(instance, &rules::WdeqRule)?.completions;
-        flow_witness(instance, None, &completions).map(plain)
+        flow_witness(instance, None, &completions, &mut ProbeSession::new()).map(plain)
     }
 }
 
@@ -644,7 +648,8 @@ impl<S: Scalar> SchedulingPolicy<S> for LmaxParametricRelated {
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
         let due = smith_ratio_dues(instance);
-        let (_, schedule) = min_lmax_flow(instance, &due)?;
+        let lateness = Objective::FlowLateness { due: &due };
+        let (_, schedule) = frontier(instance, lateness, &mut ProbeSession::new())?;
         Ok(plain(schedule))
     }
 }

@@ -233,13 +233,16 @@ pub fn sum<S: Scalar>(xs: &[S]) -> S {
     S::sum(xs.iter().cloned())
 }
 
-/// Compare the ratios `num_a/den_a` and `num_b/den_b` by
-/// cross-multiplication — no division is performed, so the comparison is
-/// exact on exact fields and needs no infinity sentinel. A non-positive
-/// denominator counts as ratio `+∞` (sorts after every finite ratio); two
-/// non-positive denominators compare equal. Numerators are assumed
-/// non-negative (the scheduling ratios — Smith's `V/w`, WDEQ's `δ/w` —
-/// always are), which keeps cross-multiplication order-preserving.
+/// Compare the ratios `num_a/den_a` and `num_b/den_b` by their quotients
+/// under [`Scalar::total_cmp_s`]. A non-positive denominator counts as
+/// ratio `+∞` (sorts after every finite ratio); two non-positive
+/// denominators compare equal. Numerators are assumed non-negative (the
+/// scheduling ratios — Smith's `V/w`, WDEQ's `δ/w` — always are).
+///
+/// Each quotient is one value, so this is a total order on `f64` and safe
+/// for `sort_by`. Cross-multiplying instead rounds two products
+/// independently, which can make the order intransitive. On exact fields
+/// with positive denominators both orders coincide.
 #[inline]
 pub fn ratio_cmp<S: Scalar>(num_a: &S, den_a: &S, num_b: &S, den_b: &S) -> Ordering {
     match (den_a.is_positive(), den_b.is_positive()) {
@@ -247,9 +250,9 @@ pub fn ratio_cmp<S: Scalar>(num_a: &S, den_a: &S, num_b: &S, den_b: &S) -> Order
         (false, true) => Ordering::Greater,
         (true, false) => Ordering::Less,
         (true, true) => {
-            let lhs = num_a.clone() * den_b.clone();
-            let rhs = num_b.clone() * den_a.clone();
-            lhs.total_cmp_s(&rhs)
+            let a = num_a.clone() / den_a.clone();
+            let b = num_b.clone() / den_b.clone();
+            a.total_cmp_s(&b)
         }
     }
 }
@@ -331,6 +334,39 @@ mod tests {
         use std::cmp::Ordering;
         assert_eq!(1.0f64.total_cmp_s(&2.0), Ordering::Less);
         assert_eq!(2.0f64.total_cmp_s(&2.0), Ordering::Equal);
+    }
+
+    #[test]
+    fn ratio_cmp_is_a_total_order_where_cross_multiplication_is_not() {
+        // Found by a seeded search over near-equal ratios: cross-multiplied
+        // products round to a = b and b = c, yet a > c.
+        let [a, b, c] = [
+            (0x3fe0_ed82_6b16_3fdd_u64, 0x3fe0_5d8e_5461_9d33_u64),
+            (0x3ff1_103d_11f9_36bb, 0x3ff0_7f21_a551_bdd7),
+            (0x3fe2_f860_9318_7dce, 0x3fe2_570e_06fb_3bfb),
+        ]
+        .map(|(num, den)| (f64::from_bits(num), f64::from_bits(den)));
+        let cross = |x: (f64, f64), y: (f64, f64)| (x.0 * y.1).total_cmp(&(y.0 * x.1));
+        assert_eq!(cross(a, b), Ordering::Equal);
+        assert_eq!(cross(b, c), Ordering::Equal);
+        assert_eq!(cross(a, c), Ordering::Greater);
+
+        let cmp = |x: &(f64, f64), y: &(f64, f64)| ratio_cmp(&x.0, &x.1, &y.0, &y.1);
+        let triple = [a, b, c];
+        for x in &triple {
+            for y in &triple {
+                assert_eq!(cmp(x, y), cmp(y, x).reverse());
+                for z in &triple {
+                    if cmp(x, y).is_le() && cmp(y, z).is_le() {
+                        assert!(cmp(x, z).is_le(), "{x:?} ≤ {y:?} ≤ {z:?}");
+                    }
+                }
+            }
+        }
+        // A sort over many interleaved copies completes in order.
+        let mut keys: Vec<(f64, f64)> = (0..64).map(|i| triple[(i * 7) % 3]).collect();
+        keys.sort_by(cmp);
+        assert!(keys.windows(2).all(|w| cmp(&w[0], &w[1]).is_le()));
     }
 
     #[test]

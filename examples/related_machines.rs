@@ -9,8 +9,6 @@
 //! solvers over the speed profile, and demonstrates the unit-speed
 //! reduction back to the paper's identical-machine model.
 
-use malleable::core::algos::related::min_lmax_flow;
-use malleable::core::algos::releases::makespan_with_releases;
 use malleable::core::machine::MachineModel;
 use malleable::core::policy;
 use malleable::prelude::*;
@@ -50,11 +48,17 @@ fn main() {
     }
 
     // Exact parametric solvers run unchanged over the speed profile.
+    // One session carries the warm flow arena across both searches.
+    let mut session = ProbeSession::new();
     let releases = vec![0.0; cluster.n()];
-    let cmax = makespan_with_releases(&cluster, &releases).expect("flow Cmax");
+    let makespan = Objective::Makespan {
+        releases: &releases,
+    };
+    let (cmax, _) = frontier(&cluster, makespan, &mut session).expect("flow Cmax");
     let due: Vec<f64> = cluster.tasks.iter().map(|t| t.volume / t.weight).collect();
-    let (lmax, _) = min_lmax_flow(&cluster, &due).expect("flow Lmax");
-    println!("\nexact Cmax over the profile: {:.6}", cmax.cmax);
+    let lateness = Objective::FlowLateness { due: &due };
+    let (lmax, _) = frontier(&cluster, lateness, &mut session).expect("flow Lmax");
+    println!("\nexact Cmax over the profile: {cmax:.6}");
     println!("exact min-Lmax (Smith dues): {lmax:.6}");
 
     // Unit speeds reduce to the paper's identical machines, bit-exactly:

@@ -96,8 +96,9 @@ pub use simplex;
 pub mod prelude {
     pub use bigratio::Rational;
     pub use malleable_core::algos::greedy::{best_heuristic_greedy, greedy_cost, greedy_schedule};
-    pub use malleable_core::algos::makespan::{min_lmax, optimal_makespan};
+    pub use malleable_core::algos::makespan::optimal_makespan;
     pub use malleable_core::algos::orders::smith_order;
+    pub use malleable_core::algos::parametric::{frontier, Objective, ProbeSession};
     pub use malleable_core::algos::waterfill::water_filling;
     pub use malleable_core::algos::wdeq::{wdeq_certificate, wdeq_schedule};
     pub use malleable_core::bounds::{height_bound, squashed_area_bound};

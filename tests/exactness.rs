@@ -10,10 +10,8 @@
 //!   `==`, and the Lemma-2 certificate inequality holds exactly.
 
 use bigratio::Rational;
-use malleable::core::algos::makespan::{min_lmax, min_lmax_in};
-use malleable::core::algos::parametric::{ProbeSession, SolveMode};
-use malleable::core::algos::releases::{
-    feasible_with_releases, makespan_with_releases, makespan_with_releases_in,
+use malleable::core::algos::parametric::{
+    feasible_with_releases, frontier, Objective, ProbeSession, SolveMode,
 };
 use malleable::core::algos::waterfill::wf_feasible;
 use malleable::core::algos::waterfill_fast::wf_feasible_grouped;
@@ -178,9 +176,11 @@ fn parametric_lmax_agrees_between_f64_and_rational_and_is_optimal() {
                 .collect();
             let due_r: Vec<Rational> = due_f.iter().map(|&d| Rational::from_f64_exact(d)).collect();
 
-            let (lf, csf) = min_lmax(&inst, &due_f).unwrap();
+            let lateness = Objective::Lateness { due: &due_f };
+            let (lf, csf) = frontier(&inst, lateness, &mut ProbeSession::new()).unwrap();
             csf.validate(&inst).unwrap();
-            let (lr, csr) = min_lmax(&exact, &due_r).unwrap();
+            let lateness = Objective::Lateness { due: &due_r };
+            let (lr, csr) = frontier(&exact, lateness, &mut ProbeSession::new()).unwrap();
             csr.validate_with(&exact, Tolerance::<Rational>::exact())
                 .unwrap();
             let lr_f = lr.approx_f64();
@@ -214,22 +214,22 @@ fn parametric_release_cmax_agrees_between_f64_and_rational_and_is_optimal() {
             let rel_f: Vec<f64> = (0..n).map(|i| (i % 3) as f64 * 0.7).collect();
             let rel_r: Vec<Rational> = rel_f.iter().map(|&r| Rational::from_f64_exact(r)).collect();
 
-            let rf = makespan_with_releases(&inst, &rel_f).unwrap();
-            rf.schedule.validate(&inst).unwrap();
-            let rr = makespan_with_releases(&exact, &rel_r).unwrap();
-            rr.schedule
-                .validate_with(&exact, Tolerance::<Rational>::exact())
+            let makespan = Objective::Makespan { releases: &rel_f };
+            let (cf, csf) = frontier(&inst, makespan, &mut ProbeSession::new()).unwrap();
+            csf.validate(&inst).unwrap();
+            let makespan = Objective::Makespan { releases: &rel_r };
+            let (cr_exact, csr) = frontier(&exact, makespan, &mut ProbeSession::new()).unwrap();
+            csr.validate_with(&exact, Tolerance::<Rational>::exact())
                 .unwrap();
-            let cr = rr.cmax.approx_f64();
+            let cr = cr_exact.approx_f64();
             assert!(
-                (rf.cmax - cr).abs() <= 1e-6 * (1.0 + rf.cmax.abs()),
-                "n={n} seed={seed}: f64 Cmax {} vs exact {cr}",
-                rf.cmax
+                (cf - cr).abs() <= 1e-6 * (1.0 + cf.abs()),
+                "n={n} seed={seed}: f64 Cmax {cf} vs exact {cr}"
             );
             // Exact optimality certificate: any earlier deadline is
             // infeasible, with zero slack.
             let eps = Rational::new(1, 1_000_000);
-            let below = rr.cmax.clone() - eps;
+            let below = cr_exact.clone() - eps;
             assert!(
                 !feasible_with_releases(&exact, &rel_r, below).unwrap(),
                 "n={n} seed={seed}: Cmax − ε must be exactly infeasible"
@@ -331,8 +331,9 @@ fn warm_and_cold_lmax_optima_agree_bit_exactly_at_rational() {
                 .collect();
             let mut warm = ProbeSession::with_mode(SolveMode::WarmStart);
             let mut cold = ProbeSession::with_mode(SolveMode::ColdRestart);
-            let (lw, csw) = min_lmax_in(&exact, &due, &mut warm).unwrap();
-            let (lc, csc) = min_lmax_in(&exact, &due, &mut cold).unwrap();
+            let lateness = Objective::Lateness { due: &due };
+            let (lw, csw) = frontier(&exact, lateness, &mut warm).unwrap();
+            let (lc, csc) = frontier(&exact, lateness, &mut cold).unwrap();
             assert_eq!(lw, lc, "{label} seed={seed}: warm Lmax must equal cold");
             csw.validate_with(&exact, Tolerance::<Rational>::exact())
                 .unwrap();
@@ -356,17 +357,15 @@ fn warm_and_cold_release_cmax_agree_bit_exactly_at_rational() {
                 .collect();
             let mut warm = ProbeSession::with_mode(SolveMode::WarmStart);
             let mut cold = ProbeSession::with_mode(SolveMode::ColdRestart);
-            let rw = makespan_with_releases_in(&exact, &releases, &mut warm).unwrap();
-            let rc = makespan_with_releases_in(&exact, &releases, &mut cold).unwrap();
-            assert_eq!(
-                rw.cmax, rc.cmax,
-                "{label} seed={seed}: warm Cmax must equal cold"
-            );
-            rw.schedule
-                .validate_with(&exact, Tolerance::<Rational>::exact())
+            let makespan = Objective::Makespan {
+                releases: &releases,
+            };
+            let (cw, csw) = frontier(&exact, makespan, &mut warm).unwrap();
+            let (cc, csc) = frontier(&exact, makespan, &mut cold).unwrap();
+            assert_eq!(cw, cc, "{label} seed={seed}: warm Cmax must equal cold");
+            csw.validate_with(&exact, Tolerance::<Rational>::exact())
                 .unwrap();
-            rc.schedule
-                .validate_with(&exact, Tolerance::<Rational>::exact())
+            csc.validate_with(&exact, Tolerance::<Rational>::exact())
                 .unwrap();
         }
     }

@@ -166,7 +166,8 @@ fn lmax_never_beats_individual_height_bound() {
     for seed in seed_batch(13, 5) {
         let inst = generate(&Spec::PaperUniform { n: 10 }, seed);
         let due = vec![0.5; inst.n()];
-        let (l, cs) = min_lmax(&inst, &due).expect("lmax");
+        let lateness = Objective::Lateness { due: &due };
+        let (l, cs) = frontier(&inst, lateness, &mut ProbeSession::new()).expect("lmax");
         cs.validate(&inst).expect("valid");
         let hmax = inst
             .tasks

@@ -12,9 +12,8 @@
 //!   over-concentrate on the fast machines, and every related-capable
 //!   policy produces schedules that survive it.
 
-use malleable::core::algos::makespan::min_lmax;
-use malleable::core::algos::related::{flow_witness, greedy_related, min_lmax_flow};
-use malleable::core::algos::releases::{feasible_with_releases, makespan_with_releases};
+use malleable::core::algos::parametric::feasible_with_releases;
+use malleable::core::algos::related::{flow_witness, greedy_related};
 use malleable::core::bounds::{height_bound, squashed_area_bound};
 use malleable::core::policy;
 use malleable::core::schedule::column::{Column, ColumnSchedule};
@@ -243,10 +242,12 @@ fn related_parametric_lmax_is_exact_with_zero_tolerance_witness() {
         Rational::from_int(0),
         Rational::from_int(1),
     ];
-    // min_lmax routes heterogeneous instances through the flow path.
-    let (l, cs) = min_lmax(&inst, &due).unwrap();
+    // Lateness routes heterogeneous instances through the flow path.
+    let lateness = Objective::Lateness { due: &due };
+    let (l, cs) = frontier(&inst, lateness, &mut ProbeSession::new()).unwrap();
     cs.validate(&inst).unwrap(); // zero tolerance, polymatroid included
-    let (l2, cs2) = min_lmax_flow(&inst, &due).unwrap();
+    let flow_lateness = Objective::FlowLateness { due: &due };
+    let (l2, cs2) = frontier(&inst, flow_lateness, &mut ProbeSession::new()).unwrap();
     cs2.validate(&inst).unwrap();
     assert_eq!(l, l2, "route and direct flow solver agree");
     // Optimality certificate: deadlines ε below the optimum are exactly
@@ -261,7 +262,7 @@ fn related_parametric_lmax_is_exact_with_zero_tolerance_witness() {
         .map(|(d, h)| (d.clone() + l.clone() - eps.clone()).max_of(h.clone()))
         .collect();
     assert!(
-        flow_witness(&inst, None, &tight).is_err(),
+        flow_witness(&inst, None, &tight, &mut ProbeSession::new()).is_err(),
         "ε below L* must be exactly infeasible"
     );
 }
@@ -281,15 +282,18 @@ fn related_parametric_cmax_beats_the_capacity_relaxation() {
         .build()
         .unwrap();
     let releases = vec![Rational::from_int(0); 3];
-    let r = makespan_with_releases(&inst, &releases).unwrap();
-    r.schedule.validate(&inst).unwrap(); // zero tolerance
-                                         // Exact optimum: the pair {T0, T1} needs 4/3; the triple needs
-                                         // 4.1/4 = 1.025 < 4/3; singletons need 1. So Cmax = 4/3.
-    assert_eq!(r.cmax, Rational::new(4, 3));
+    let makespan = Objective::Makespan {
+        releases: &releases,
+    };
+    let (c, schedule) = frontier(&inst, makespan, &mut ProbeSession::new()).unwrap();
+    schedule.validate(&inst).unwrap(); // zero tolerance
+                                       // Exact optimum: the pair {T0, T1} needs 4/3; the triple needs
+                                       // 4.1/4 = 1.025 < 4/3; singletons need 1. So Cmax = 4/3.
+    assert_eq!(c, Rational::new(4, 3));
     // And it is exactly tight: ε below is infeasible.
     let eps = Rational::new(1, 1 << 20);
-    assert!(!feasible_with_releases(&inst, &releases, r.cmax.clone() - eps).unwrap());
-    assert!(feasible_with_releases(&inst, &releases, r.cmax).unwrap());
+    assert!(!feasible_with_releases(&inst, &releases, c.clone() - eps).unwrap());
+    assert!(feasible_with_releases(&inst, &releases, c).unwrap());
 }
 
 #[test]

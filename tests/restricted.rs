@@ -10,7 +10,7 @@
 //!   machine indices, misaligned list counts) is a pointed
 //!   [`ScheduleError`], never a silently wrong schedule.
 
-use malleable::core::algos::releases::{feasible_with_releases, makespan_with_releases};
+use malleable::core::algos::parametric::feasible_with_releases;
 use malleable::core::machine::MachineModel;
 use malleable::prelude::*;
 use malleable::workloads::seed_batch;
@@ -102,18 +102,26 @@ fn flow_makespan_matches_the_brute_force_polymatroid_optimum() {
     let eps = Rational::new(1, 1 << 20);
     let check = |inst: &Instance<Rational>, what: &str| {
         let releases = vec![Rational::from_int(0); inst.n()];
-        let r = makespan_with_releases(inst, &releases)
+        let makespan = Objective::Makespan {
+            releases: &releases,
+        };
+        let (c, schedule) = frontier(inst, makespan, &mut ProbeSession::new())
             .unwrap_or_else(|e| panic!("{what}: flow solver failed: {e}"));
-        r.schedule.validate(inst).unwrap(); // zero tolerance
+        // The witness is a column schedule valid at zero tolerance whose
+        // latest completion is the optimum itself.
+        schedule
+            .validate_with(inst, Tolerance::<Rational>::exact())
+            .unwrap();
+        assert_eq!(schedule.makespan(), c, "{what}: witness ends at C*");
         let brute = brute_force_cmax(inst);
-        assert_eq!(r.cmax, brute, "{what}: flow vs brute-force optimum");
+        assert_eq!(c, brute, "{what}: flow vs brute-force optimum");
         // Exactly tight: ε below the optimum is infeasible, the optimum
         // itself feasible.
         assert!(
-            !feasible_with_releases(inst, &releases, r.cmax.clone() - eps.clone()).unwrap(),
+            !feasible_with_releases(inst, &releases, c.clone() - eps.clone()).unwrap(),
             "{what}: ε below C* must be infeasible"
         );
-        assert!(feasible_with_releases(inst, &releases, r.cmax).unwrap());
+        assert!(feasible_with_releases(inst, &releases, c).unwrap());
     };
     for (m, eligible, tasks) in fixtures {
         let inst = Instance::<Rational>::builder(Rational::from_int(0))
