@@ -18,7 +18,9 @@
 //!   JSON records;
 //! * **wall-clock parity**: no configuration where the default
 //!   (`SolveMode::Auto`) arm is slower than the cold arm by more than 10%
-//!   plus a small absolute grace — the size gate must never lose.
+//!   plus a small absolute grace — the size gate must never lose. The two
+//!   arms are timed interleaved (warm, cold, warm, cold, …, min-of-N per
+//!   arm), so drift of a shared host lands on both alike.
 //!
 //! The binary also runs the **event-driven scaling ladder**: log-spaced
 //! instance sizes up to `n = 10⁵` (`10⁶` behind `--full`) through
@@ -27,6 +29,8 @@
 //! `results/BENCH_parametric.json`. The fitted log–log wall-time exponent
 //! of every family must stay ≤ 1.2 (`bench_gate --scaling` re-checks the
 //! same bound in CI), and `n = 10⁵` must finish in under five seconds.
+//! The repeated rungs (float and exact) are timed round-robin across the
+//! ladder (min-of-N per rung), like the warm and cold arms above.
 //!
 //! The ladder also carries **exact-arithmetic rungs** (families tagged
 //! `-exact`, capped at `n ≤ 1000` by default): the same WDEQ sweep at
@@ -53,8 +57,8 @@
 use bigratio::Rational;
 use malleable_bench::arg_value;
 use malleable_bench::perf::{
-    min_wall_attributed, scale_point, total_phases, write_parametric_json_with_scaling,
-    ProbeRecord, ScalingRecord,
+    min_wall_interleaved, scale_points, total_phases, write_parametric_json_with_scaling,
+    ProbeRecord, ScaleRun, ScalingRecord,
 };
 use malleable_bench::regression::{asymptotic_curve, fit_loglog_slope, EXACT_FAMILY_TAG};
 use malleable_core::algos::parametric::{frontier, Objective, ProbeSession, SolveMode};
@@ -226,23 +230,24 @@ fn configs(n_max: usize) -> Vec<Config> {
     out
 }
 
-fn run_one(config: &Config, mode: SolveMode) -> ProbeRecord {
-    let mode_label = match mode {
-        // `Auto` IS the warm arm now: it picks warm whenever the network is
-        // big enough to amortize the repair pass, cold otherwise.
-        SolveMode::Auto | SolveMode::WarmStart => "warm",
-        SolveMode::ColdRestart => "cold",
-    };
-    // Min-of-N with a leading untimed warmup (the first solve of a fresh
-    // process pays allocator growth and first-touch page faults, which
-    // would bias whichever arm runs first by ~10% on sub-ms rows). Every
-    // repetition — warmup and losers included — is attributed in the
-    // trace as a `perf.rep` span; only the JSON record keeps min-wall.
-    let (value, telemetry, wall_us) = min_wall_attributed(
-        &format!("{} {mode_label}", config.label),
+/// Measure one configuration in both solve modes: the warm arm
+/// (`SolveMode::Auto` — it picks warm whenever the network is big enough
+/// to amortize the repair pass, cold otherwise) and the forced cold arm.
+fn run_pair(config: &Config) -> [ProbeRecord; 2] {
+    const ARMS: [(SolveMode, &str); 2] =
+        [(SolveMode::Auto, "warm"), (SolveMode::ColdRestart, "cold")];
+    // Min-of-N per arm with a leading untimed warmup round (the first
+    // solve of a fresh process pays allocator growth and first-touch page
+    // faults), the two arms alternating repetition by repetition so host
+    // drift cannot land on one of them. Every repetition — warmups and
+    // losers included — is attributed in the trace as a `perf.rep` span;
+    // only the JSON record keeps min-wall.
+    let labels = ARMS.map(|(_, mode)| format!("{} {mode}", config.label));
+    let runs = min_wall_interleaved(
+        [labels[0].as_str(), labels[1].as_str()],
         TIMING_REPS,
-        || {
-            let mut session = ProbeSession::with_mode(mode);
+        |arm| {
+            let mut session = ProbeSession::with_mode(ARMS[arm].0);
             let start = Instant::now();
             let objective = match &config.kind {
                 Kind::Lmax { due } => Objective::Lateness { due },
@@ -254,61 +259,90 @@ fn run_one(config: &Config, mode: SolveMode) -> ProbeRecord {
             (value, session.telemetry(), wall_us)
         },
     );
-    ProbeRecord::from_telemetry(&config.label, mode_label, telemetry, wall_us, value)
+    let [(wv, wt, ww), (cv, ct, cw)] = runs;
+    [
+        ProbeRecord::from_telemetry(&config.label, ARMS[0].1, wt, ww, wv),
+        ProbeRecord::from_telemetry(&config.label, ARMS[1].1, ct, cw, cv),
+    ]
 }
 
 /// Run the event-driven scaling ladder up to `scale_max` tasks and assert
 /// its acceptance bounds (n = 10⁵ under five seconds when reached; every
 /// family's fitted log–log exponent ≤ 1.2).
 fn scaling_ladder(scale_max: usize) -> Vec<ScalingRecord> {
-    let sizes = [
+    let sizes: Vec<usize> = [
         100usize, 316, 1000, 3162, 10_000, 31_623, 100_000, 1_000_000,
-    ];
+    ]
+    .into_iter()
+    .filter(|&n| n <= scale_max)
+    .collect();
+    // Rungs up to 10⁴ are cheap: TIMING_REPS repetitions each, measured
+    // interleaved across the group (round-robin, min-of-N per rung), so
+    // host drift cannot bend the fitted curve at one rung. One pass is
+    // already stable at ≥ 10⁵ events; those rungs run once, one at a time.
+    let (cheap, large): (Vec<usize>, Vec<usize>) = sizes.iter().partition(|&&n| n <= 10_000);
+    let mut groups = vec![(cheap, TIMING_REPS)];
+    groups.extend(large.into_iter().map(|n| (vec![n], 1)));
     let mut out = Vec::new();
-    for &n in sizes.iter().filter(|&&n| n <= scale_max) {
-        // Timing reps only where runs are cheap; one pass is already
-        // stable at ≥ 10⁵ events.
-        let reps = if n <= 10_000 { TIMING_REPS } else { 1 };
-        for (tag, spec) in [
-            ("paper-uniform", Spec::PaperUniform { n }),
-            ("powerlaw-volumes", Spec::PowerLawVolumes { n, alpha: 1.5 }),
-        ] {
-            let instance = generate(&spec, 42);
-            let wdeq = scale_point(&format!("wdeq/{tag}"), n, reps, || {
-                wdeq_completions(&instance)
-                    .unwrap_or_else(|e| panic!("wdeq/{tag}[n={n}]: {e}"))
-                    .events as u64
-            });
-            // The water-filling feasibility oracle replays the deadlines
-            // WDEQ just met, so the same instance exercises both lanes
-            // (and the result doubles as a cross-algorithm sanity check).
-            let deadlines = wdeq_completions(&instance)
-                .expect("checked above")
-                .completions;
-            let wf = scale_point(&format!("wf/{tag}"), n, reps, || {
-                let (ok, work) = wf_feasible_grouped_with_work(&instance, &deadlines)
-                    .unwrap_or_else(|e| panic!("wf/{tag}[n={n}]: {e}"));
-                assert!(ok, "wf/{tag}[n={n}]: WDEQ completions must be WF-feasible");
-                work
-            });
-            for r in [&wdeq, &wf] {
-                println!(
-                    "{:<26} {:>9} {:>12.1} {:>12}",
-                    r.family, r.n, r.wall_us, r.events
+    for (group, reps) in groups {
+        let rungs: Vec<(&str, usize, Instance, Vec<f64>)> = group
+            .iter()
+            .flat_map(|&n| {
+                [
+                    ("paper-uniform", Spec::PaperUniform { n }),
+                    ("powerlaw-volumes", Spec::PowerLawVolumes { n, alpha: 1.5 }),
+                ]
+                .map(|(tag, spec)| {
+                    let instance = generate(&spec, 42);
+                    // The water-filling feasibility oracle replays the
+                    // deadlines WDEQ meets, so the same instance exercises
+                    // both lanes (and doubles as a cross-algorithm sanity
+                    // check).
+                    let deadlines = wdeq_completions(&instance)
+                        .unwrap_or_else(|e| panic!("wdeq/{tag}[n={n}]: {e}"))
+                        .completions;
+                    (tag, n, instance, deadlines)
+                })
+            })
+            .collect();
+        let mut points: Vec<ScaleRun<'_>> = Vec::with_capacity(2 * rungs.len());
+        for (tag, n, instance, deadlines) in &rungs {
+            let (tag, n) = (*tag, *n);
+            points.push((
+                format!("wdeq/{tag}"),
+                n,
+                Box::new(move || {
+                    wdeq_completions(instance)
+                        .unwrap_or_else(|e| panic!("wdeq/{tag}[n={n}]: {e}"))
+                        .events as u64
+                }),
+            ));
+            points.push((
+                format!("wf/{tag}"),
+                n,
+                Box::new(move || {
+                    let (ok, work) = wf_feasible_grouped_with_work(instance, deadlines)
+                        .unwrap_or_else(|e| panic!("wf/{tag}[n={n}]: {e}"));
+                    assert!(ok, "wf/{tag}[n={n}]: WDEQ completions must be WF-feasible");
+                    work
+                }),
+            ));
+        }
+        for r in scale_points(points, reps) {
+            println!(
+                "{:<26} {:>9} {:>12.1} {:>12}",
+                r.family, r.n, r.wall_us, r.events
+            );
+            if r.n >= 100_000 {
+                assert!(
+                    r.wall_us < 5e6,
+                    "{}[n={}]: {:.1}µs breaks the five-second budget",
+                    r.family,
+                    r.n,
+                    r.wall_us
                 );
             }
-            if n >= 100_000 {
-                for r in [&wdeq, &wf] {
-                    assert!(
-                        r.wall_us < 5e6,
-                        "{}[n={n}]: {:.1}µs breaks the five-second budget",
-                        r.family,
-                        r.wall_us
-                    );
-                }
-            }
-            out.push(wdeq);
-            out.push(wf);
+            out.push(r);
         }
     }
     out
@@ -335,24 +369,38 @@ fn quantized_instance(instance: &Instance) -> Instance<Rational> {
 /// at `exact_max` tasks. Families are tagged `-exact` so `bench_gate
 /// --scaling` holds them to the looser exact exponent ceiling.
 fn exact_scaling_rungs(exact_max: usize) -> Vec<ScalingRecord> {
-    let sizes = [100usize, 316, 1000, 3162];
-    let mut out = Vec::new();
-    for &n in sizes.iter().filter(|&&n| n <= exact_max) {
-        let float_inst = generate(&Spec::PaperUniform { n }, 42);
-        let lifted: Instance<Rational> = float_inst.to_scalar();
-        let quantized = quantized_instance(&float_inst);
-        for (tag, exact) in [("f64-lift", &lifted), ("quantized-64", &quantized)] {
-            let rec = scale_point(&format!("wdeq-exact/{tag}"), n, TIMING_REPS, || {
-                wdeq_completions(exact)
-                    .unwrap_or_else(|e| panic!("wdeq-exact/{tag}[n={n}]: {e}"))
-                    .events as u64
-            });
-            println!(
-                "{:<26} {:>9} {:>12.1} {:>12}",
-                rec.family, rec.n, rec.wall_us, rec.events
-            );
-            out.push(rec);
-        }
+    let rungs: Vec<(&str, usize, Instance<Rational>)> = [100usize, 316, 1000, 3162]
+        .into_iter()
+        .filter(|&n| n <= exact_max)
+        .flat_map(|n| {
+            let float_inst = generate(&Spec::PaperUniform { n }, 42);
+            [
+                ("f64-lift", n, float_inst.to_scalar()),
+                ("quantized-64", n, quantized_instance(&float_inst)),
+            ]
+        })
+        .collect();
+    let points: Vec<ScaleRun<'_>> = rungs
+        .iter()
+        .map(|(tag, n, exact)| -> ScaleRun<'_> {
+            let (tag, n) = (*tag, *n);
+            (
+                format!("wdeq-exact/{tag}"),
+                n,
+                Box::new(move || {
+                    wdeq_completions(exact)
+                        .unwrap_or_else(|e| panic!("wdeq-exact/{tag}[n={n}]: {e}"))
+                        .events as u64
+                }),
+            )
+        })
+        .collect();
+    let out = scale_points(points, TIMING_REPS);
+    for rec in &out {
+        println!(
+            "{:<26} {:>9} {:>12.1} {:>12}",
+            rec.family, rec.n, rec.wall_us, rec.events
+        );
     }
     out
 }
@@ -387,8 +435,7 @@ fn main() {
     );
     let mut records: Vec<ProbeRecord> = Vec::with_capacity(configs.len() * 2);
     for config in &configs {
-        let warm = run_one(config, SolveMode::Auto);
-        let cold = run_one(config, SolveMode::ColdRestart);
+        let [warm, cold] = run_pair(config);
         // Same trajectory, same optimum: the f64 instantiations must agree
         // to float noise (the Rational property tests pin this bit-exactly).
         assert!(

@@ -100,54 +100,78 @@ pub fn min_wall_attributed<T>(
     reps: usize,
     mut run: impl FnMut() -> (T, ProbeTelemetry, f64),
 ) -> (T, ProbeTelemetry, f64) {
-    let mut best: Option<(T, ProbeTelemetry, f64)> = None;
-    for rep in 0..=reps {
-        let mut sp = malleable_trace::span_labeled("perf.rep", || label.to_string());
-        let (value, telemetry, wall_us) = run();
-        sp.arg("rep", rep as u64);
-        sp.arg("warmup", u64::from(rep == 0));
-        sp.arg("wall_us", wall_us as u64);
-        telemetry.attach(&mut sp);
-        drop(sp);
-        if rep == 0 {
-            continue; // warmup iteration — never selected
-        }
-        best = Some(match best {
-            Some(b) if b.2 <= wall_us => b,
-            _ => (value, telemetry, wall_us),
-        });
-    }
-    best.expect("reps ≥ 1")
+    let [best] = min_wall_interleaved([label], reps, |_| run());
+    best
 }
 
-/// One scaling-curve point: min-of-`reps` wall time of `run` on a
-/// size-`n` instance, plus the event/work counter the run reports. Every
-/// repetition is attributed as a `perf.rep` span (rep index, wall,
-/// events), mirroring [`min_wall_attributed`] for the event-driven lanes.
-pub fn scale_point(
-    family: &str,
-    n: usize,
+/// [`min_wall_attributed`] over `K` arms measured **interleaved**: each
+/// round runs every arm once in order (`run(0)`, `run(1)`, …), the first
+/// round is the untimed warmup, and each arm keeps its own min-wall
+/// timed repetition. Host drift (a noisy neighbour, a frequency step)
+/// then lands on all arms alike instead of on whichever ran second — the
+/// arms of a wall-clock comparison are only comparable when measured
+/// side by side.
+pub fn min_wall_interleaved<T, const K: usize>(
+    labels: [&str; K],
     reps: usize,
-    mut run: impl FnMut() -> u64,
-) -> ScalingRecord {
-    let mut wall_us = f64::INFINITY;
-    let mut events = 0;
+    mut run: impl FnMut(usize) -> (T, ProbeTelemetry, f64),
+) -> [(T, ProbeTelemetry, f64); K] {
+    let mut best: [Option<(T, ProbeTelemetry, f64)>; K] = std::array::from_fn(|_| None);
+    for rep in 0..=reps {
+        for (arm, label) in labels.iter().enumerate() {
+            let mut sp = malleable_trace::span_labeled("perf.rep", || label.to_string());
+            let (value, telemetry, wall_us) = run(arm);
+            sp.arg("rep", rep as u64);
+            sp.arg("warmup", u64::from(rep == 0));
+            sp.arg("wall_us", wall_us as u64);
+            telemetry.attach(&mut sp);
+            drop(sp);
+            if rep == 0 {
+                continue; // warmup round — never selected
+            }
+            best[arm] = Some(match best[arm].take() {
+                Some(b) if b.2 <= wall_us => b,
+                _ => (value, telemetry, wall_us),
+            });
+        }
+    }
+    best.map(|b| b.expect("reps ≥ 1"))
+}
+
+/// A scaling-curve point to measure: family, size, and the run returning
+/// its event/work counter.
+pub type ScaleRun<'a> = (String, usize, Box<dyn FnMut() -> u64 + 'a>);
+
+/// Scaling-curve points measured **interleaved**: `reps` rounds, each
+/// running every point once in order, each point keeping its min-wall
+/// repetition and the event/work counter its run reports. A burst of
+/// host noise then costs one repetition of several points instead of all
+/// repetitions of one, so it cannot bend a fitted curve at a single rung.
+/// Every repetition is attributed as a `perf.rep` span (rep index, wall,
+/// events), mirroring [`min_wall_attributed`] for the probe lanes.
+pub fn scale_points(mut points: Vec<ScaleRun<'_>>, reps: usize) -> Vec<ScalingRecord> {
+    let mut out: Vec<ScalingRecord> = points
+        .iter()
+        .map(|(family, n, _)| ScalingRecord {
+            family: family.clone(),
+            n: *n,
+            wall_us: f64::INFINITY,
+            events: 0,
+        })
+        .collect();
     for rep in 0..reps {
-        let mut sp = malleable_trace::span_labeled("perf.rep", || format!("{family} n={n}"));
-        let start = Instant::now();
-        events = run();
-        let rep_wall = start.elapsed().as_secs_f64() * 1e6;
-        sp.arg("rep", rep as u64);
-        sp.arg("wall_us", rep_wall as u64);
-        sp.arg("events", events);
-        wall_us = wall_us.min(rep_wall);
+        for ((family, n, run), rec) in points.iter_mut().zip(&mut out) {
+            let mut sp = malleable_trace::span_labeled("perf.rep", || format!("{family} n={n}"));
+            let start = Instant::now();
+            rec.events = run();
+            let rep_wall = start.elapsed().as_secs_f64() * 1e6;
+            sp.arg("rep", rep as u64);
+            sp.arg("wall_us", rep_wall as u64);
+            sp.arg("events", rec.events);
+            rec.wall_us = rec.wall_us.min(rep_wall);
+        }
     }
-    ScalingRecord {
-        family: family.into(),
-        n,
-        wall_us,
-        events,
-    }
+    out
 }
 
 /// Total Dinic phases across all records of one mode.
@@ -269,6 +293,24 @@ mod tests {
         assert_eq!(total_phases(&rs, "warm"), 6);
         assert_eq!(total_phases(&rs, "cold"), 16);
         assert_eq!(total_augmentations(&rs, "warm"), 6);
+    }
+
+    #[test]
+    fn interleaved_arms_alternate_and_keep_their_own_minimum() {
+        // Walls per (arm, call): the warmup round is the fastest of all
+        // and must never be selected; each arm keeps its own minimum.
+        let walls = [[0.5, 9.0, 4.0, 7.0], [0.1, 3.0, 8.0, 2.0]];
+        let mut calls: Vec<usize> = Vec::new();
+        let mut seen = [0usize; 2];
+        let [a, b] = min_wall_interleaved(["a", "b"], 3, |arm| {
+            calls.push(arm);
+            let wall = walls[arm][seen[arm]];
+            seen[arm] += 1;
+            (arm, ProbeTelemetry::default(), wall)
+        });
+        assert_eq!(calls, vec![0, 1, 0, 1, 0, 1, 0, 1]);
+        assert_eq!((a.0, a.2), (0, 4.0));
+        assert_eq!((b.0, b.2), (1, 2.0));
     }
 
     #[test]

@@ -15,6 +15,7 @@ use malleable_core::algos::parametric::{
 };
 use malleable_core::algos::waterfill_fast::wf_feasible_grouped_with_work;
 use malleable_core::algos::wdeq::wdeq_completions;
+use malleable_core::machine::RankOracle;
 use malleable_workloads::{generate, seed_batch, Spec};
 use std::sync::{Mutex, MutexGuard};
 
@@ -225,5 +226,58 @@ fn solvers_outside_a_session_leave_no_trace() {
     assert!(
         trace.is_empty(),
         "untraced work must not leak into the next session"
+    );
+}
+
+/// Restricted-assignment rank queries are metered under their own
+/// counter: realizing a replay event and adding/removing oracle tasks
+/// open no span and leave the `flow.*` counters to transport probes,
+/// while every augmenting push lands in `rank.augmentations`.
+#[test]
+fn rank_oracle_work_counts_under_its_own_counter() {
+    let _x = exclusive();
+    let instance = generate(
+        &Spec::RestrictedAssignment {
+            n: 12,
+            machines: 4,
+            min_eligible: 1,
+        },
+        7,
+    );
+    assert!(!instance.machine.unit_speeds(), "eligibility must bite");
+    let entries: Vec<(usize, f64)> = instance
+        .tasks
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (i, t.delta))
+        .collect();
+
+    let session = malleable_trace::Session::start();
+    let rates = instance.machine.realize_assign(&entries);
+    let mut oracle = RankOracle::for_machine(&instance.machine);
+    for (i, t) in instance.tasks.iter().enumerate() {
+        oracle.add_task(i, &t.delta);
+    }
+    for (i, t) in instance.tasks.iter().enumerate().take(4) {
+        oracle.sub_task(i, &t.delta);
+    }
+    let trace = session.finish();
+
+    assert!(rates[0] > 0.0, "the top task always progresses");
+    assert!(oracle.rate() > 0.0);
+    trace.validate().expect("balanced");
+    assert!(
+        trace.span_names().is_empty(),
+        "rank-oracle updates open no span: {:?}",
+        trace.span_names()
+    );
+    let totals = trace.counter_totals();
+    assert!(
+        totals.get("rank.augmentations").copied().unwrap_or(0) > 0,
+        "rank pushes must be counted: {totals:?}"
+    );
+    assert!(
+        totals.keys().all(|name| !name.starts_with("flow.")),
+        "rank work leaked into the transport counters: {totals:?}"
     );
 }

@@ -77,7 +77,7 @@ impl MetricSet for FlowStats {
 }
 
 /// Max-flow network on dense small graphs (Dinic's algorithm).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlowNetwork<S = f64> {
     edges: Vec<Edge<S>>,
     /// Adjacency: node → indices into `edges` (even = forward, odd = back).
@@ -245,7 +245,7 @@ impl<S: Scalar> FlowNetwork<S> {
         let snap = self.stats;
         let mut sp = malleable_trace::span("flow.solve");
         sp.arg("warm", 0);
-        self.augment(s, t);
+        self.augment(s, t, true);
         let delta = self.stats.since(&snap);
         delta.attach(&mut sp);
         delta.record();
@@ -281,11 +281,106 @@ impl<S: Scalar> FlowNetwork<S> {
                 self.stats.repair_paths - repaired_before,
             );
         }
-        self.augment(s, t);
+        self.augment(s, t, true);
         let delta = self.stats.since(&snap);
         delta.attach(&mut sp);
         delta.record();
         self.flow_value(s)
+    }
+
+    /// [`FlowNetwork::max_flow_warm`] without spans or registry counters:
+    /// repair the overflowing arcs, re-augment, return the new max-flow
+    /// value. The work still lands in [`FlowNetwork::stats`], so callers
+    /// that meter it under their own counter snapshot-and-subtract (the
+    /// restricted rank oracle of [`crate::machine`] does).
+    pub(crate) fn max_flow_warm_untraced(&mut self, s: usize, t: usize) -> S {
+        assert_ne!(s, t, "source equals sink");
+        self.repair_overflows(s, t);
+        self.augment(s, t, false);
+        self.flow_value(s)
+    }
+
+    /// **Append-task augmentation**: push flow from the source through the
+    /// forward edge `arc` (typically a freshly added source arc of a new
+    /// task node, so the routed flow stays feasible), along residual paths
+    /// that start with `arc` and never re-enter its tail, until `arc`
+    /// saturates or no such path reaches `t`. Returns the amount pushed.
+    ///
+    /// When the flow was maximum before a new node was appended whose only
+    /// in-arc is `arc` (its out-arcs are free), the result is maximum
+    /// again: an augmentation from the new node only reverses arcs between
+    /// nodes the source could not reach, so no old source arc gains a
+    /// path, and nothing the source reaches ever gets an arc into the new
+    /// node. The pushed amount is therefore the exact marginal max-flow
+    /// gain of the new node. Each path is one BFS (shortest augmenting
+    /// path) over the residual graph; no span is opened, pushes count
+    /// into [`FlowStats::augmentations`].
+    ///
+    /// # Panics
+    /// Panics on a backward-edge or out-of-range id, or when either end of
+    /// `arc` is `t` (builder misuse).
+    pub fn augment_from(&mut self, arc: usize, t: usize) -> S {
+        assert!(arc.is_multiple_of(2), "augment_from takes forward edge ids");
+        assert!(arc < self.edges.len(), "bad edge id");
+        let s = self.edges[arc ^ 1].to;
+        let v = self.edges[arc].to;
+        assert!(v != t && s != t, "augment_from needs an arc off the sink");
+        let mut pushed = S::zero();
+        // Every arc into `t` saturated: no path can exist, skip the BFS
+        // (the common case of a rank oracle whose machines are all taken).
+        if self.adj[t]
+            .iter()
+            .all(|&eid| self.residual(eid ^ 1) <= self.eps)
+        {
+            return pushed;
+        }
+        let mut via = vec![usize::MAX; self.adj.len()];
+        let mut q = VecDeque::new();
+        loop {
+            let room = self.residual(arc);
+            if room <= self.eps {
+                return pushed;
+            }
+            // BFS from the head of `arc`; the tail is pre-marked so no
+            // path re-enters it.
+            via.fill(usize::MAX);
+            via[s] = arc ^ 1;
+            via[v] = arc;
+            q.clear();
+            q.push_back(v);
+            'bfs: while let Some(u) = q.pop_front() {
+                for &eid in &self.adj[u] {
+                    let to = self.edges[eid].to;
+                    if via[to] == usize::MAX && self.residual(eid) > self.eps {
+                        via[to] = eid;
+                        if to == t {
+                            break 'bfs;
+                        }
+                        q.push_back(to);
+                    }
+                }
+            }
+            if via[t] == usize::MAX {
+                return pushed;
+            }
+            // Bottleneck along t ← … ← v, capped by the room on `arc`.
+            let mut amount = room;
+            let mut at = t;
+            while at != v {
+                let eid = via[at];
+                amount = amount.min_of(self.residual(eid));
+                at = self.edges[eid ^ 1].to;
+            }
+            let mut at = t;
+            while at != s {
+                let eid = via[at];
+                self.edges[eid].flow = self.edges[eid].flow.clone() + amount.clone();
+                self.edges[eid ^ 1].flow = self.edges[eid ^ 1].flow.clone() - amount.clone();
+                at = self.edges[eid ^ 1].to;
+            }
+            pushed = pushed + amount;
+            self.stats.augmentations += 1;
+        }
     }
 
     /// Cancel the excess of every overflowing arc (`flow > cap` after a
@@ -395,13 +490,14 @@ impl<S: Scalar> FlowNetwork<S> {
     /// The Dinic phase loop: build BFS level graphs and push blocking
     /// flows until the sink is unreachable. Starts from whatever flow the
     /// network currently carries (zero after a build — the cold path; a
-    /// repaired previous solve — the warm path).
-    fn augment(&mut self, s: usize, t: usize) {
+    /// repaired previous solve — the warm path). `traced` opens one
+    /// `flow.dinic_phase` span per phase.
+    fn augment(&mut self, s: usize, t: usize, traced: bool) {
         let n = self.adj.len();
         loop {
             // BFS level graph.
             self.stats.phases += 1;
-            let mut phase_sp = malleable_trace::span("flow.dinic_phase");
+            let mut phase_sp = traced.then(|| malleable_trace::span("flow.dinic_phase"));
             let augmented_before = self.stats.augmentations;
             let mut level = vec![usize::MAX; n];
             level[s] = 0;
@@ -428,7 +524,9 @@ impl<S: Scalar> FlowNetwork<S> {
                 }
                 self.stats.augmentations += 1;
             }
-            phase_sp.arg("augmentations", self.stats.augmentations - augmented_before);
+            if let Some(sp) = &mut phase_sp {
+                sp.arg("augmentations", self.stats.augmentations - augmented_before);
+            }
         }
     }
 
@@ -692,6 +790,54 @@ mod tests {
         g.set_capacity(ab, 0.5);
         assert!(close(g.max_flow_warm(0, 3), 0.5));
         assert!(g.stats().since(&snap).repair_paths >= 1);
+    }
+
+    #[test]
+    fn augment_from_pushes_the_marginal_max_flow_of_an_appended_node() {
+        // Nodes: source 0, sink 1, three "machines" 2..5 with sink caps;
+        // task nodes are appended one at a time, each with a source arc
+        // and arcs to some machines. After every append the incremental
+        // total must equal a cold max flow of the same network.
+        let machine_caps = [1.0, 2.0, 1.0];
+        // Task 0 takes machine 0 first; task 1 fits only by rerouting task
+        // 0 onto machine 1; task 2 fills the rest; task 3 gains nothing.
+        let tasks: [(f64, &[(usize, f64)]); 4] = [
+            (1.0, &[(0, 1.0), (1, 1.0)]),
+            (1.0, &[(0, 1.0)]),
+            (3.0, &[(1, 2.0), (2, 1.0)]),
+            (2.0, &[(0, 1.0), (2, 1.0)]),
+        ];
+        let gains = [1.0, 1.0, 2.0, 0.0];
+        let build = |k: usize| {
+            let mut g = FlowNetwork::new(5, 0.0);
+            for (j, cap) in machine_caps.iter().enumerate() {
+                g.add_edge(2 + j, 1, *cap);
+            }
+            for (demand, arcs) in &tasks[..k] {
+                let v = g.add_node();
+                g.add_edge(0, v, *demand);
+                for &(j, cap) in *arcs {
+                    g.add_edge(v, 2 + j, cap);
+                }
+            }
+            g
+        };
+        let mut warm = build(0);
+        let mut total = 0.0;
+        for (k, (demand, arcs)) in tasks.iter().enumerate() {
+            let v = warm.add_node();
+            let arc = warm.add_edge(0, v, *demand);
+            for &(j, cap) in *arcs {
+                warm.add_edge(v, 2 + j, cap);
+            }
+            let before = warm.stats();
+            let gain = warm.augment_from(arc, 1);
+            assert_eq!(gain, gains[k], "marginal of task {k}");
+            total += gain;
+            assert_eq!(total, build(k + 1).max_flow(0, 1), "after task {k}");
+            assert_eq!(total, warm.flow_value(0));
+            assert_eq!(warm.stats().since(&before).phases, 0, "no Dinic phase");
+        }
     }
 
     #[test]

@@ -106,7 +106,7 @@ fn instance_levels<S: Scalar>(instance: &Instance<S>) -> Vec<SpeedLevel<S>> {
 /// run against: restricted assignment keeps task identities (matching
 /// rank), every level-decomposable model gets the coalesced profile of
 /// [`instance_levels`].
-fn instance_rank_oracle<S: Scalar>(instance: &Instance<S>) -> RankOracle<S> {
+fn instance_rank_oracle<S: Scalar>(instance: &Instance<S>) -> RankOracle<'_, S> {
     if instance.machine.restriction().is_some() {
         RankOracle::for_machine(&instance.machine)
     } else {

@@ -188,23 +188,27 @@ pub fn greedy_related<S: Scalar>(
     // automatically.
     let mut session = ProbeSession::new();
     // The prefix instance grows in σ-order; `deadlines` is aligned to it.
-    // Eligibility sets are task-indexed, so a restricted machine must be
-    // re-indexed onto the σ-prefix as it grows.
-    let restricted = instance
-        .machine
-        .restriction()
-        .map(|(m, eligible)| (m, eligible.to_vec()));
-    let mut prefix = Instance::on(instance.machine.clone(), Vec::new());
-    let mut prefix_eligible: Vec<Vec<usize>> = Vec::with_capacity(n);
+    // Eligibility sets are task-indexed, so a restricted machine is
+    // re-indexed onto the σ-prefix as it grows: each insertion pushes the
+    // new task's set into the prefix model in place.
+    let restricted = instance.machine.restriction();
+    let mut prefix = Instance::on(
+        match restricted {
+            Some((m, _)) => MachineModel::RestrictedAssignment {
+                m,
+                eligible: Vec::with_capacity(n),
+            },
+            None => instance.machine.clone(),
+        },
+        Vec::new(),
+    );
     let mut deadlines: Vec<S> = Vec::with_capacity(n);
     for &id in order {
         prefix.tasks.push(instance.task(id).clone());
-        if let Some((m, eligible)) = &restricted {
-            prefix_eligible.push(eligible[id.0].clone());
-            prefix.machine = MachineModel::RestrictedAssignment {
-                m: *m,
-                eligible: prefix_eligible.clone(),
-            };
+        if let (Some((_, all)), MachineModel::RestrictedAssignment { eligible, .. }) =
+            (restricted, &mut prefix.machine)
+        {
+            eligible.push(all[id.0].clone());
             prefix.p = prefix.machine.capacity();
         }
         let cur = prefix.n() - 1;

@@ -563,8 +563,10 @@ impl<S: Scalar> MachineModel<S> {
     /// greedy: task `k`'s rate is the marginal bipartite-flow gain
     /// `F_k − F_{k−1}`, where `F_k` is the max flow of the first `k`
     /// tasks with source caps equal to their shares and unit arcs to
-    /// their eligible machines. The vector is lexicographically maximal
-    /// in priority order (the top task always realizes
+    /// their eligible machines. One [`RankOracle`] network serves the
+    /// whole vector: each entry is one [`RestrictedRank::add`], whose
+    /// pushed amount *is* that marginal. The vector is lexicographically
+    /// maximal in priority order (the top task always realizes
     /// `min(share, |Eᵢ|) > 0`, so replay never stalls) and feasible by
     /// construction. Every other model delegates to
     /// [`MachineModel::realize`] on the shares in order.
@@ -576,42 +578,8 @@ impl<S: Scalar> MachineModel<S> {
         if self.unit_speeds() {
             return entries.iter().map(|(_, c)| c.clone()).collect();
         }
-        let mut rates = Vec::with_capacity(entries.len());
-        let mut prev = S::zero();
-        for k in 1..=entries.len() {
-            let flow = Self::restricted_flow(m, eligible, &entries[..k]);
-            rates.push((flow.clone() - prev).max_of(S::zero()));
-            prev = flow;
-        }
-        rates
-    }
-
-    /// Max bipartite flow of the given `(task index, demand)` entries on
-    /// `m` unit-speed machines with per-task eligibility — the restricted
-    /// rank of the demand vector.
-    fn restricted_flow(m: usize, eligible: &[Vec<usize>], entries: &[(usize, S)]) -> S {
-        let n = entries.len();
-        // Nodes: tasks 0..n, machines n..n+m, source, sink.
-        let s = n + m;
-        let t = n + m + 1;
-        let mut g = FlowNetwork::new(n + m + 2, S::zero());
-        let mut used = vec![false; m];
-        for (pos, (i, demand)) in entries.iter().enumerate() {
-            if !demand.is_positive() {
-                continue;
-            }
-            g.add_edge(s, pos, demand.clone());
-            for &k in eligible.get(*i).map(Vec::as_slice).unwrap_or(&[]) {
-                g.add_edge(pos, n + k, S::one());
-                used[k] = true;
-            }
-        }
-        for (k, u) in used.iter().enumerate() {
-            if *u {
-                g.add_edge(n + k, t, S::one());
-            }
-        }
-        g.max_flow(s, t)
+        let mut oracle = RestrictedRank::new(m, eligible);
+        entries.iter().map(|(i, c)| oracle.add(*i, c)).collect()
     }
 
     /// `true` iff the instantaneous rate vector is feasible on this
@@ -666,7 +634,13 @@ impl<S: Scalar> MachineModel<S> {
     /// [`ScheduleError::EligibilityExceeded`]).
     pub fn restricted_rank(&self, entries: &[(usize, S)]) -> S {
         match self.restriction() {
-            Some((m, eligible)) => Self::restricted_flow(m, eligible, entries),
+            Some((m, eligible)) => {
+                let mut oracle = RestrictedRank::new(m, eligible);
+                for (i, demand) in entries {
+                    oracle.add(*i, demand);
+                }
+                oracle.rate()
+            }
             None => S::sum(entries.iter().map(|(_, d)| d.clone())).min_of(self.capacity()),
         }
     }
@@ -676,13 +650,13 @@ impl<S: Scalar> MachineModel<S> {
     /// this is the bipartite-flow check against the eligibility sets; all
     /// other models delegate to [`MachineModel::rates_feasible`].
     pub fn rates_feasible_assign(&self, entries: &[(usize, S, S)], tol: &Tolerance<S>) -> bool {
-        let Some((m, eligible)) = self.restriction() else {
+        if self.restriction().is_none() {
             let blind: Vec<(S, S)> = entries
                 .iter()
                 .map(|(_, d, r)| (d.clone(), r.clone()))
                 .collect();
             return self.rates_feasible(&blind, tol);
-        };
+        }
         let total = S::sum(entries.iter().map(|(_, _, r)| r.clone()));
         if !total.is_positive() {
             return true;
@@ -691,7 +665,7 @@ impl<S: Scalar> MachineModel<S> {
             .iter()
             .map(|(i, delta, rate)| (*i, rate.clone().min_of(delta.clone().max_of(S::zero()))))
             .collect();
-        let flow = Self::restricted_flow(m, eligible, &demands);
+        let flow = self.restricted_rank(&demands);
         let routable = S::sum(demands.iter().map(|(_, d)| d.clone()));
         let slack = tol.rel.clone() * total.clone() + tol.abs.clone();
         // Every unit of rate must be routable: the flow must carry the
@@ -894,35 +868,25 @@ impl<S: Scalar> LevelAccumulator<S> {
 /// Task-identity-aware incremental rank evaluator — the oracle the
 /// parametric sweeps and constraint roots run against. Level-decomposable
 /// models use a [`LevelAccumulator`] (delta-only, O(levels) per update);
-/// restricted assignment keeps the active `(task, δ)` set and answers
-/// [`RankOracle::rate`] with a small bipartite max-flow over the
-/// eligibility sets. Either way `f(T)` is a monotone submodular rank, so
-/// the capacity integrals stay piecewise-affine in the parameter and the
+/// restricted assignment keeps one persistent bipartite flow
+/// ([`RestrictedRank`]), augmented per added task and repaired per
+/// removed one. Either way `f(T)` is a monotone submodular rank, so the
+/// capacity integrals stay piecewise-affine in the parameter and the
 /// Newton roots of [`crate::algos::parametric`] remain valid.
 #[derive(Debug, Clone)]
-pub enum RankOracle<S = f64> {
+pub enum RankOracle<'a, S = f64> {
     /// Level-decomposition rank (identical / related / submodular).
     Levels(LevelAccumulator<S>),
     /// Bipartite matching rank over per-task eligibility sets.
-    Restricted {
-        /// Number of machines.
-        m: usize,
-        /// Per-task eligibility sets (task-indexed, like the model's).
-        eligible: Vec<Vec<usize>>,
-        /// The active `(task index, δ)` multiset.
-        active: Vec<(usize, S)>,
-    },
+    Restricted(RestrictedRank<'a, S>),
 }
 
-impl<S: Scalar> RankOracle<S> {
-    /// An empty oracle for the machine (uncoalesced levels).
-    pub fn for_machine(machine: &MachineModel<S>) -> Self {
+impl<'a, S: Scalar> RankOracle<'a, S> {
+    /// An empty oracle for the machine (uncoalesced levels). A restricted
+    /// oracle borrows the model's eligibility table.
+    pub fn for_machine(machine: &'a MachineModel<S>) -> Self {
         match machine.restriction() {
-            Some((m, eligible)) => RankOracle::Restricted {
-                m,
-                eligible: eligible.to_vec(),
-                active: Vec::new(),
-            },
+            Some((m, eligible)) => RankOracle::Restricted(RestrictedRank::new(m, eligible)),
             None => RankOracle::Levels(LevelAccumulator::new(machine)),
         }
     }
@@ -937,7 +901,9 @@ impl<S: Scalar> RankOracle<S> {
     pub fn add_task(&mut self, i: usize, delta: &S) {
         match self {
             RankOracle::Levels(acc) => acc.add(delta),
-            RankOracle::Restricted { active, .. } => active.push((i, delta.clone())),
+            RankOracle::Restricted(rank) => {
+                rank.add(i, delta);
+            }
         }
     }
 
@@ -945,13 +911,7 @@ impl<S: Scalar> RankOracle<S> {
     pub fn sub_task(&mut self, i: usize, delta: &S) {
         match self {
             RankOracle::Levels(acc) => acc.sub(delta),
-            RankOracle::Restricted { active, .. } => {
-                if let Some(pos) = active.iter().position(|(j, _)| *j == i) {
-                    active.swap_remove(pos);
-                } else {
-                    debug_assert!(false, "sub_task({i}) without matching add_task");
-                }
-            }
+            RankOracle::Restricted(rank) => rank.sub(i),
         }
     }
 
@@ -959,11 +919,112 @@ impl<S: Scalar> RankOracle<S> {
     pub fn rate(&self) -> S {
         match self {
             RankOracle::Levels(acc) => acc.rate(),
-            RankOracle::Restricted {
-                m,
-                eligible,
-                active,
-            } => MachineModel::restricted_flow(*m, eligible, active),
+            RankOracle::Restricted(rank) => rank.rate(),
+        }
+    }
+}
+
+/// The incremental matching rank of restricted assignment: one persistent
+/// bipartite network `source → task (cap = demand) → eligible machines
+/// (cap 1) → sink (cap 1 per machine)` carrying a maximum flow of the
+/// active `(task, demand)` multiset, at zero comparison slack.
+///
+/// * [`RestrictedRank::add`] appends the task node and its arcs, then
+///   augments only from the new source arc ([`FlowNetwork::augment_from`]):
+///   the old flow stays feasible and maximal for the old tasks, so the
+///   pushed amount is exactly the marginal rank `f(T + i) − f(T)`.
+/// * [`RestrictedRank::sub`] zeroes the task's source arc and repairs the
+///   flow warm (cancel its paths, re-augment from the source).
+/// * [`RestrictedRank::rate`] is the stored flow value, O(1).
+///
+/// The eligibility table is borrowed from the model, so building or
+/// cloning an oracle copies only the active network. Updates open no
+/// span; their augmenting pushes are counted under the
+/// `rank.augmentations` registry counter, which keeps the `flow.*`
+/// counters to transport-probe work.
+#[derive(Debug, Clone)]
+pub struct RestrictedRank<'a, S = f64> {
+    /// Per-task eligibility sets (task-indexed, like the model's).
+    eligible: &'a [Vec<usize>],
+    /// Nodes: source, sink, machines `2..2 + m`, then one node per added
+    /// task with a positive demand.
+    net: FlowNetwork<S>,
+    /// The active entries: task index and its source arc (`None` for a
+    /// non-positive demand, which routes nothing).
+    active: Vec<(usize, Option<usize>)>,
+    /// The max-flow value of `net`.
+    rate: S,
+}
+
+impl<'a, S: Scalar> RestrictedRank<'a, S> {
+    const SOURCE: usize = 0;
+    const SINK: usize = 1;
+
+    /// An empty oracle over `m` machines and the task-indexed eligibility
+    /// sets.
+    pub fn new(m: usize, eligible: &'a [Vec<usize>]) -> Self {
+        let mut net = FlowNetwork::new(m + 2, S::zero());
+        for k in 0..m {
+            net.add_edge(2 + k, Self::SINK, S::one());
+        }
+        RestrictedRank {
+            eligible,
+            net,
+            active: Vec::new(),
+            rate: S::zero(),
+        }
+    }
+
+    /// Add task `i` with demand `demand`; returns its marginal rank
+    /// `f(T + i) − f(T)` (zero for a non-positive demand or an index
+    /// without an eligibility set).
+    pub fn add(&mut self, i: usize, demand: &S) -> S {
+        if !demand.is_positive() {
+            self.active.push((i, None));
+            return S::zero();
+        }
+        let node = self.net.add_node();
+        let arc = self.net.add_edge(Self::SOURCE, node, demand.clone());
+        for &k in self.eligible.get(i).map(Vec::as_slice).unwrap_or(&[]) {
+            self.net.add_edge(node, 2 + k, S::one());
+        }
+        let before = self.net.stats().augmentations;
+        let gain = self.net.augment_from(arc, Self::SINK);
+        self.count_pushes(before);
+        self.rate = self.rate.clone() + gain.clone();
+        self.active.push((i, Some(arc)));
+        gain
+    }
+
+    /// Remove one active entry of task `i`: zero its source arc and
+    /// re-solve warm (the repair cancels its flow paths, the
+    /// re-augmentation hands the freed machines to the remaining tasks).
+    /// The task's node stays in the network, unreachable from the source,
+    /// so a sweep that adds and removes each task once holds at most one
+    /// node per task.
+    pub fn sub(&mut self, i: usize) {
+        let Some(pos) = self.active.iter().position(|(j, _)| *j == i) else {
+            debug_assert!(false, "sub_task({i}) without matching add_task");
+            return;
+        };
+        if let (_, Some(arc)) = self.active.swap_remove(pos) {
+            let before = self.net.stats().augmentations;
+            self.net.set_capacity(arc, S::zero());
+            self.rate = self.net.max_flow_warm_untraced(Self::SOURCE, Self::SINK);
+            self.count_pushes(before);
+        }
+    }
+
+    /// The current rank `f(T)` of the active multiset.
+    pub fn rate(&self) -> S {
+        self.rate.clone()
+    }
+
+    /// Record the augmenting pushes since the `before` snapshot.
+    fn count_pushes(&self, before: u64) {
+        let pushes = self.net.stats().augmentations - before;
+        if pushes > 0 {
+            malleable_trace::counter("rank.augmentations", pushes);
         }
     }
 }

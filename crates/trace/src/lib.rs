@@ -6,8 +6,9 @@
 //!   flow.dinic_phase`) recorded as compact begin/end events with monotonic
 //!   nanosecond timestamps from a process-wide [`Instant`] anchor.
 //! - **A counter/gauge registry** that unifies the solver telemetry structs
-//!   (`FlowStats`, `ProbeTelemetry`, the WDEQ/segment-tree event counters)
-//!   behind one API — see [`MetricSet`].
+//!   (`FlowStats`, `ProbeTelemetry`, the WDEQ/segment-tree event counters,
+//!   the restricted rank oracle's `rank.augmentations`) behind one API —
+//!   see [`MetricSet`].
 //! - **Two exporters**: Chrome trace-event JSON ([`chrome::to_chrome_json`],
 //!   loadable in Perfetto / `about:tracing`) and a self-contained text
 //!   flamegraph / top-k-spans summary ([`flame::render_summary`]).

@@ -82,3 +82,38 @@ fn dense_wdeq_schedule_validates_in_budget() {
         "validating {entries} entries took {wall:?} — the validator regressed"
     );
 }
+
+/// Restricted-assignment replay realizes each event's shares with one
+/// rank-oracle augmentation per task. The replay policies and `priority`
+/// at n = 300 must each return a valid schedule well inside a second; a
+/// realization that rebuilds one cold flow per priority prefix (O(n) max
+/// flows per event) takes seconds at this size.
+#[cfg_attr(
+    debug_assertions,
+    ignore = "wall-clock budget only meaningful in release builds"
+)]
+#[test]
+fn restricted_replay_lanes_handle_three_hundred_tasks_in_budget() {
+    let spec = Spec::RestrictedAssignment {
+        n: 300,
+        machines: 8,
+        min_eligible: 2,
+    };
+    let instance = generate(&spec, 42);
+    for name in ["wdeq-related", "wf-related", "priority"] {
+        let policy = policy::by_name::<f64>(name).expect("registered policy");
+        let start = Instant::now();
+        let schedule = policy
+            .schedule(&instance)
+            .unwrap_or_else(|e| panic!("{name} on {}: {e}", spec.label()));
+        let wall = start.elapsed();
+        schedule
+            .validate(&instance)
+            .unwrap_or_else(|e| panic!("{name} on {}: invalid schedule: {e}", spec.label()));
+        assert!(
+            wall < Duration::from_secs(1),
+            "{name} on {}: took {wall:?} — restricted realization regressed",
+            spec.label()
+        );
+    }
+}
