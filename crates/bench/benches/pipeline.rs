@@ -10,10 +10,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use malleable_core::algos::waterfill_int::water_filling_integer;
 use malleable_core::algos::wdeq::wdeq_schedule;
+use malleable_core::policy::rules::WdeqRule;
 use malleable_core::schedule::convert::assign_processors_stable;
 use malleable_sim::bandwidth::{BandwidthScenario, Worker};
 use malleable_sim::engine::simulate;
-use malleable_sim::policies::WdeqPolicy;
 use malleable_workloads::{generate, Spec};
 use numkit::Tolerance;
 use std::hint::black_box;
@@ -24,10 +24,7 @@ fn bench_online_engine(c: &mut Criterion) {
     for n in [16usize, 64, 256] {
         let inst = generate(&Spec::PaperUniform { n }, 11);
         g.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
-            b.iter(|| {
-                let mut p = WdeqPolicy;
-                black_box(simulate(inst, &mut p).unwrap().schedule.makespan())
-            })
+            b.iter(|| black_box(simulate(inst, &WdeqRule).unwrap().schedule.makespan()))
         });
     }
     g.finish();
@@ -79,10 +76,7 @@ fn bench_bandwidth(c: &mut Criterion) {
                 .collect(),
         };
         g.bench_with_input(BenchmarkId::from_parameter(n), &sc, |b, sc| {
-            b.iter(|| {
-                let mut p = WdeqPolicy;
-                black_box(sc.run_policy(&mut p, 1e4).unwrap().throughput)
-            })
+            b.iter(|| black_box(sc.run_policy(&WdeqRule, 1e4).unwrap().throughput))
         });
     }
     g.finish();

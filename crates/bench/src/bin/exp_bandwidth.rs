@@ -20,10 +20,11 @@ use malleable_bench::{csvout, instance_count};
 use malleable_core::algos::greedy::greedy_schedule;
 use malleable_core::algos::makespan::optimal_makespan;
 use malleable_core::algos::orders::smith_order;
+use malleable_core::policy::rules::{
+    AllocationRule, DeqRule, PriorityRule, ShareNoRedistributionRule, WdeqRule,
+};
 use malleable_core::schedule::convert::step_to_column;
 use malleable_sim::bandwidth::{BandwidthScenario, Worker};
-use malleable_sim::policies::{DeqPolicy, PriorityPolicy, UncappedSharePolicy, WdeqPolicy};
-use malleable_sim::OnlinePolicy;
 use malleable_workloads::{generate, seed_batch, Spec};
 use numkit::Tolerance;
 
@@ -88,14 +89,14 @@ fn main() {
             let horizon = optimal_makespan(&inst) * (n as f64 + 2.0);
             let total_rate = sc.total_rate();
             let mut out = Vec::new();
-            let mut policies: Vec<Box<dyn OnlinePolicy>> = vec![
-                Box::new(WdeqPolicy),
-                Box::new(DeqPolicy),
-                Box::new(UncappedSharePolicy),
-                Box::new(PriorityPolicy),
+            let rules: [&dyn AllocationRule<f64>; 4] = [
+                &WdeqRule,
+                &DeqRule,
+                &ShareNoRedistributionRule,
+                &PriorityRule,
             ];
-            for p in policies.iter_mut() {
-                let rep = sc.run_policy(p.as_mut(), horizon).expect("policy run");
+            for rule in rules {
+                let rep = sc.run_policy(rule, horizon).expect("policy run");
                 let ident = (rep.throughput - (horizon * total_rate - rep.weighted_completion))
                     .abs()
                     / (1.0 + rep.throughput.abs());

@@ -268,9 +268,9 @@ fn main() {
     for &name in malleable_sim::policies::ONLINE_POLICY_NAMES {
         streaming_grid =
             streaming_grid.policy(GridPolicy::custom(format!("{name}@online"), move |inst| {
-                let mut rule = malleable_sim::policies::by_name::<f64>(name)
+                let rule = malleable_sim::policies::by_name::<f64>(name)
                     .expect("every registry name resolves");
-                malleable_sim::simulate(inst, rule.as_mut())
+                malleable_sim::simulate(inst, rule.as_ref())
                     .map(|run| run.schedule)
                     .map_err(|e| match e {
                         malleable_sim::SimError::Instance(inner) => inner,

@@ -36,6 +36,11 @@
 //! --list-policies` shows which); the identical-machine rate-space
 //! policies reject heterogeneous oracles.
 //!
+//! A file with `arrive` markers runs under the online engine, exactly as
+//! the daemon runs a streaming tenant ([`malleable_bench::serve::solve`]
+//! routes both), so only the online rules (`wdeq`, `deq`,
+//! `share-no-redistribution`, `priority`) accept it.
+//!
 //! Malformed flags and instance files are *input* errors: they print a
 //! pointed `error: …` line and exit with status 2 (scheduling failures
 //! keep status 1). Unknown subcommands and unknown flags are input
@@ -72,7 +77,6 @@ use malleable_core::policy;
 use malleable_core::schedule::column::ColumnSchedule;
 use malleable_core::schedule::convert::column_to_gantt;
 use malleable_core::schedule::svg::{gantt_to_svg, SvgOptions};
-use malleable_opt::brute::optimal_schedule;
 use numkit::Tolerance;
 use std::process::ExitCode;
 
@@ -284,20 +288,15 @@ fn list_policies(context: Option<&Instance>) {
 }
 
 fn schedule(instance: &Instance, name: &str) -> Result<(ColumnSchedule, String), String> {
-    if name == "optimal" {
-        let opt = optimal_schedule(instance).map_err(|e| e.to_string())?;
-        return Ok((
-            opt.schedule,
-            format!("exact optimum over all {}! completion orders", instance.n()),
-        ));
-    }
-    let Some(p) = policy::by_name::<f64>(name) else {
-        return Err(format!(
-            "unknown policy {name:?}; try --list-policies\n{USAGE}"
-        ));
+    let (run, mode) = serve::solve(instance, name)?;
+    let mut note = match policy::by_name::<f64>(name) {
+        Some(p) => format!("{} — {}", p.name(), p.description()),
+        // `solve` accepts no other name outside the registry.
+        None => format!("exact optimum over all {}! completion orders", instance.n()),
     };
-    let run = p.run(instance).map_err(|e| e.to_string())?;
-    let mut note = format!("{} — {}", p.name(), p.description());
+    if mode == "online" {
+        note.push_str(" [online: release times honoured]");
+    }
     if let Some(cert) = &run.certificate {
         let cost = run.schedule.weighted_completion_cost(instance);
         note.push_str(&format!(

@@ -30,8 +30,7 @@ use crate::serve::protocol::{error_response, json_num, ok_response, parse_reques
 use crossbeam::channel::Sender;
 use malleable_core::bounds::arrival_aware_lower_bound;
 use malleable_core::instance::Instance;
-use malleable_core::policy;
-use malleable_core::schedule::column::ColumnSchedule;
+use malleable_core::policy::{self, PolicyRun};
 use malleable_opt::brute::optimal_schedule;
 use malleable_sim::policies::ONLINE_POLICY_NAMES;
 use malleable_trace::MetricSet;
@@ -171,29 +170,44 @@ struct ShardReq {
     reply: Sender<String>,
 }
 
-/// Solve `instance` with `name`: batch registry (plus `optimal`) for
-/// clairvoyant tenants, online simulation for streaming ones. Returns
-/// the schedule and the reported mode tag.
-fn solve(instance: &Instance, name: &str) -> Result<(ColumnSchedule, &'static str), String> {
+/// Solve `instance` with the policy `name` — the routing shared by the
+/// daemon and batch-mode `msched`. An instance with release times runs
+/// under the online engine and only accepts an online rule name; any
+/// other instance goes to the batch registry, or to the brute-force
+/// optimum for `optimal`. Returns the run (with the registry policy's
+/// certificate, if any) and its mode tag, `"online"` or `"batch"`.
+///
+/// # Errors
+/// A one-line message for an unknown name, a name that cannot run
+/// against streaming arrivals, or a failed solve.
+pub fn solve(instance: &Instance, name: &str) -> Result<(PolicyRun, &'static str), String> {
     if instance.has_arrivals() {
-        let mut p = malleable_sim::policies::by_name::<f64>(name).ok_or_else(|| {
+        let rule = malleable_sim::policies::by_name::<f64>(name).ok_or_else(|| {
             format!(
                 "policy {name:?} cannot run against streaming arrivals \
                  (online policies: {})",
                 ONLINE_POLICY_NAMES.join(", ")
             )
         })?;
-        let run = malleable_sim::simulate(instance, p.as_mut()).map_err(|e| e.to_string())?;
-        return Ok((run.schedule, "online"));
+        let run = malleable_sim::simulate(instance, rule.as_ref()).map_err(|e| e.to_string())?;
+        let run = PolicyRun {
+            schedule: run.schedule,
+            certificate: None,
+        };
+        return Ok((run, "online"));
     }
     if name == "optimal" {
         let opt = optimal_schedule(instance).map_err(|e| e.to_string())?;
-        return Ok((opt.schedule, "batch"));
+        let run = PolicyRun {
+            schedule: opt.schedule,
+            certificate: None,
+        };
+        return Ok((run, "batch"));
     }
     let p = policy::by_name::<f64>(name)
         .ok_or_else(|| format!("unknown policy {name:?}; try msched --list-policies"))?;
     let run = p.run(instance).map_err(|e| e.to_string())?;
-    Ok((run.schedule, "batch"))
+    Ok((run, "batch"))
 }
 
 /// Handle one tenant-keyed request on its shard. Every path returns a
@@ -268,7 +282,7 @@ fn handle_tenant_request(
                     return error_response(&format!("tenant {tenant:?} instance invalid: {e}"));
                 }
             };
-            let (schedule, mode) = match solve(&instance, policy) {
+            let (PolicyRun { schedule, .. }, mode) = match solve(&instance, policy) {
                 Ok(x) => x,
                 Err(e) => {
                     counters.bump(SOLVE_ERRORS);

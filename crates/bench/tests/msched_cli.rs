@@ -210,3 +210,38 @@ fn list_policies_shows_capability_column_for_the_instance() {
         "{plain_out}"
     );
 }
+
+#[test]
+fn release_times_route_batch_mode_to_the_online_engine() {
+    // T1 only arrives at t = 1 with V = 1: no policy can finish it
+    // before then. Batch mode answers what the daemon answers.
+    let dir = tempdir();
+    let file = write_instance(
+        &dir,
+        "arrivals.txt",
+        "p 2\ntask 2 1 1\ntask 1 1 2 arrive 1.0\n",
+    );
+    for policy in ["wdeq", "deq"] {
+        let out = msched(&[&file, "--policy", policy]);
+        assert_eq!(out.status.code(), Some(0), "{policy}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("[online"), "{policy}: {stdout}");
+        assert!(!stdout.contains("certified within"), "{policy}: {stdout}");
+        assert!(
+            stdout.contains("T0 completes at 2.0\n"),
+            "{policy}: {stdout}"
+        );
+        assert!(
+            stdout.contains("T1 completes at 2.0\n"),
+            "{policy}: {stdout}"
+        );
+    }
+    // A clairvoyant policy cannot run against streaming arrivals.
+    let out = msched(&[&file, "--policy", "greedy-smith"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("cannot run against streaming arrivals"),
+        "{err}"
+    );
+}

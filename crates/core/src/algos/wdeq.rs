@@ -38,9 +38,11 @@
 //! two implementations are checked bit-for-bit in `tests/exactness.rs`.
 //!
 //! This module contains the *closed-form clairvoyant replay* of the policy
-//! (fast, exact event times); `malleable-sim` re-implements WDEQ behind the
-//! genuinely non-clairvoyant `OnlinePolicy` interface and the two are
-//! checked against each other in integration tests.
+//! (fast, exact event times). The same Algorithm 1 also runs as
+//! [`WdeqRule`](crate::policy::rules::WdeqRule) through the generic event
+//! loop [`run_rule`](crate::policy::rules::run_rule) — the non-clairvoyant
+//! path behind `malleable-sim`'s online engine, with release times — and
+//! the two are checked against each other in integration tests.
 
 use crate::algos::events::EventHeap;
 use crate::bounds::mixed_bound;

@@ -1,16 +1,16 @@
-//! Instantaneous allocation rules — the non-clairvoyant core of the
-//! online policies.
+//! Instantaneous allocation rules and the one event loop that runs them.
 //!
-//! A rule maps the *observable* state of the unfinished tasks (identity,
-//! weight, cap, work already done — never the remaining volume) to a rate
-//! vector. The same rule drives two consumers:
+//! A rule maps the *observable* state of the released, unfinished tasks
+//! (identity, weight, cap, work already done — never the remaining
+//! volume) to a share vector. [`run_rule`] is the event loop: it owns the
+//! remaining volumes, asks the rule for shares at every completion and
+//! every arrival, checks them, and steps to the next event. Its callers:
 //!
-//! * [`replay`] — the closed-form clairvoyant replay used by the
-//!   [`SchedulingPolicy`](crate::policy::SchedulingPolicy) registry: the
-//!   engine knows the remaining volumes, so between completions it can
-//!   jump straight to the next event;
-//! * `malleable-sim`'s genuinely non-clairvoyant event engine, whose
-//!   policy structs are thin adapters over these rules.
+//! * [`replay`] / [`replay_with_split`] — the
+//!   [`SchedulingPolicy`](crate::policy::SchedulingPolicy) registry's
+//!   DEQ, WDEQ ablations and related-machines WDEQ;
+//! * `malleable-sim`'s `simulate` — the online engine (uniform machines
+//!   only) behind the daemon's streaming tenants.
 //!
 //! Keeping the rules here (generic over the scalar) means the paper's
 //! Algorithm 1 and its ablations exist exactly once in the workspace.
@@ -19,6 +19,7 @@ use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
 use crate::schedule::column::{Column, ColumnSchedule};
 use numkit::{Scalar, Tolerance};
+use std::borrow::Cow;
 
 /// Observable state of one unfinished task, as exposed to a rule.
 #[derive(Debug, Clone)]
@@ -41,7 +42,7 @@ pub struct ActiveTask<S = f64> {
 ///
 /// Shares are indexed like `active` and must satisfy `0 ≤ shareₖ ≤ capₖ`
 /// and `Σ shareₖ ≤ p` (the rules below guarantee this by construction;
-/// the sim engine re-validates independently). On identical machines a
+/// [`run_rule`] checks it at every event). On identical machines a
 /// share *is* a processing rate; on related machines it is a fractional
 /// machine count, converted to a rate by the speed profile.
 pub trait AllocationRule<S: Scalar> {
@@ -145,37 +146,92 @@ impl<S: Scalar> AllocationRule<S> for PriorityRule {
     }
 }
 
-/// Clairvoyant replay of an allocation rule: recompute rates at every
-/// completion, jump to the next completion event, repeat. The columns of
-/// the result are the inter-event intervals (exactly the granularity the
-/// paper's model works at — between completions any constant allocation
-/// with the same column totals is equivalent, Theorem 3).
+/// One event-driven run of an allocation rule (see [`run_rule`]).
+#[derive(Debug, Clone)]
+pub struct RuleRun<S = f64> {
+    /// The executed schedule (columns = inter-event intervals).
+    pub schedule: ColumnSchedule<S>,
+    /// The Lemma-2 volume split `V¹` (see [`replay_with_split`]).
+    pub limited: Vec<S>,
+    /// Number of allocation events (rule invocations).
+    pub events: usize,
+}
+
+/// Why [`run_rule`] stopped before every task completed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RuleError {
+    /// The instance is malformed.
+    Instance(ScheduleError),
+    /// The rule returned an invalid share vector.
+    Violation {
+        /// Which rule misbehaved.
+        rule: &'static str,
+        /// What it did wrong.
+        reason: String,
+    },
+    /// No active task progresses and nothing further arrives.
+    Stalled {
+        /// Which rule stalled.
+        rule: &'static str,
+        /// Time at which progress stopped (approximate for exact
+        /// scalars; diagnostics only).
+        at: f64,
+        /// Number of unfinished released tasks at that time.
+        active: usize,
+    },
+}
+
+impl From<RuleError> for ScheduleError {
+    fn from(e: RuleError) -> Self {
+        let reason = match e {
+            RuleError::Instance(e) => return e,
+            RuleError::Violation { rule, reason } => {
+                format!("allocation rule '{rule}' returned invalid shares: {reason}")
+            }
+            RuleError::Stalled { rule, at, active } => {
+                format!("allocation rule '{rule}' stalled at t = {at} with {active} tasks active")
+            }
+        };
+        ScheduleError::InvalidInstance { reason }
+    }
+}
+
+/// Replay of an allocation rule to completion: recompute shares at every
+/// event, jump to the next one, repeat. The columns of the result are
+/// the inter-event intervals (exactly the granularity the paper's model
+/// works at — between events any constant allocation with the same
+/// column totals is equivalent, Theorem 3).
 ///
 /// **Machine awareness.** The rule is consulted in machine-count space
 /// (caps `min(δᵢ, count)`, budget = total machine count); the resulting
 /// shares are realized into processing rates by laying the active tasks
 /// onto the machines **fastest first, heaviest task first** (ties by task
 /// id). On identical machines this realization is the identity — counts
-/// are rates — so the replay is bit-for-bit the original one; on related
-/// machines it is the fastest-machines-first WDEQ family of Gupta–Kumar–
-/// Singla-style heterogeneous policies, and the produced columns are
-/// feasible by construction (they are an actual machine assignment).
+/// are rates; on related machines it is the fastest-machines-first WDEQ
+/// family of Gupta–Kumar–Singla-style heterogeneous policies, and the
+/// produced columns are feasible by construction (they are an actual
+/// machine assignment).
+///
+/// **Release times.** When the instance carries them, a task becomes
+/// visible to the rule only at its arrival and every arrival cuts a new
+/// column (an empty one while nothing is released), so the schedule
+/// never allocates a task before it exists.
 ///
 /// # Errors
-/// [`ScheduleError::InvalidInstance`] when the instance is malformed or
-/// the rule stops making progress (e.g. proportional share over an
-/// all-zero-weight active set).
+/// [`ScheduleError::InvalidInstance`] when the instance is malformed,
+/// the rule returns invalid shares, or it stops making progress (e.g.
+/// proportional share over an all-zero-weight active set).
 pub fn replay<S: Scalar>(
     instance: &Instance<S>,
     rule: &dyn AllocationRule<S>,
 ) -> Result<ColumnSchedule<S>, ScheduleError> {
-    replay_with_split(instance, rule).map(|(schedule, _)| schedule)
+    Ok(run_rule(instance, rule)?.schedule)
 }
 
-/// [`replay`] that additionally tracks the Lemma-2 volume split: for each
-/// task, how much of its volume was processed while the rule allocated it
-/// **less than its cap** (the task was *limited* — capacity was the
-/// binding resource). The returned vector `V¹` satisfies
+/// [`replay`] that additionally returns the Lemma-2 volume split: for
+/// each task, how much of its volume was processed while the rule
+/// allocated it **less than its cap** (the task was *limited* — capacity
+/// was the binding resource). The returned vector `V¹` satisfies
 /// `0 ≤ V¹ᵢ ≤ Vᵢ`, and by Lemma 1 any such split yields the sound lower
 /// bound `OPT ≥ A(I[V¹]) + H(I[V − V¹])`
 /// ([`crate::bounds::mixed_bound`]) — the per-run certificate the
@@ -187,33 +243,89 @@ pub fn replay_with_split<S: Scalar>(
     instance: &Instance<S>,
     rule: &dyn AllocationRule<S>,
 ) -> Result<(ColumnSchedule<S>, Vec<S>), ScheduleError> {
-    instance.validate()?;
+    let run = run_rule(instance, rule)?;
+    Ok((run.schedule, run.limited))
+}
+
+/// The event loop behind [`replay`] and `malleable-sim`'s `simulate`.
+/// Each event releases the due arrivals, asks the rule for shares,
+/// checks them (arity; finite, non-negative and within each cap; total
+/// within the machine count — all up to the instance tolerance),
+/// realizes them as rates, and steps to the earlier of the next
+/// completion and the next arrival. The rule only ever sees observable
+/// state: remaining volumes stay inside the loop.
+///
+/// # Errors
+/// [`RuleError::Instance`] for a malformed instance,
+/// [`RuleError::Violation`] for an invalid share vector, and
+/// [`RuleError::Stalled`] when no task progresses and nothing further
+/// arrives.
+pub fn run_rule<S: Scalar>(
+    instance: &Instance<S>,
+    rule: &dyn AllocationRule<S>,
+) -> Result<RuleRun<S>, RuleError> {
+    instance.validate().map_err(RuleError::Instance)?;
     let tol = Tolerance::<S>::for_instance(instance.n());
     let n = instance.n();
     let count = instance.machine.count();
+    let unit_speeds = instance.machine.unit_speeds();
+    let caps: Vec<S> = (0..n).map(|i| instance.count_cap(TaskId(i))).collect();
+    let arrivals: Vec<S> = (0..n).map(|i| instance.arrival(TaskId(i))).collect();
     let mut remaining: Vec<S> = instance.tasks.iter().map(|t| t.volume.clone()).collect();
     let mut processed = vec![S::zero(); n];
     let mut limited = vec![S::zero(); n];
-    let mut active: Vec<usize> = (0..n).collect();
+    let mut finished = vec![false; n];
+    // Tasks released at t = 0 start active; the rest wait in `pending`,
+    // kept pop-friendly (latest arrival first, ties by id).
+    let mut active: Vec<usize> = (0..n).filter(|&i| !arrivals[i].is_positive()).collect();
+    let mut pending: Vec<usize> = (0..n).filter(|&i| arrivals[i].is_positive()).collect();
+    pending.sort_by(|&a, &b| arrivals[b].total_cmp_s(&arrivals[a]).then(b.cmp(&a)));
     let mut completions = vec![S::zero(); n];
     let mut columns = Vec::with_capacity(n);
     let mut now = S::zero();
+    let mut events = 0usize;
+    // Reused across events: at n = 10⁵+ the per-event view rebuild
+    // dominates allocator traffic if each iteration starts afresh.
+    let mut views: Vec<ActiveTask<S>> = Vec::with_capacity(n);
 
-    while !active.is_empty() {
-        let views: Vec<ActiveTask<S>> = active
-            .iter()
-            .map(|&i| ActiveTask {
-                id: TaskId(i),
-                weight: instance.tasks[i].weight.clone(),
-                cap: instance.count_cap(TaskId(i)),
-                processed: processed[i].clone(),
-            })
-            .collect();
+    while !active.is_empty() || !pending.is_empty() {
+        // Release everything that has arrived by `now`.
+        while let Some(&j) = pending.last() {
+            if arrivals[j] <= now {
+                active.push(pending.pop().expect("peeked"));
+            } else {
+                break;
+            }
+        }
+        // Nothing runnable: idle forward to the next arrival with an
+        // empty column (columns must stay contiguous from t = 0).
+        if active.is_empty() {
+            let j = *pending.last().expect("outer loop guarantees work left");
+            columns.push(Column {
+                start: now.clone(),
+                end: arrivals[j].clone(),
+                rates: vec![],
+            });
+            now = arrivals[j].clone();
+            continue;
+        }
+        views.clear();
+        views.extend(active.iter().map(|&i| ActiveTask {
+            id: TaskId(i),
+            weight: instance.tasks[i].weight.clone(),
+            cap: caps[i].clone(),
+            processed: processed[i].clone(),
+        }));
         let shares = rule.rates(&views, &count);
-        debug_assert_eq!(shares.len(), views.len(), "rule returned wrong arity");
+        events += 1;
+        check_shares(rule.name(), &shares, &views, &count, &tol)?;
         // Realize machine shares as rates: fastest machines to the
         // heaviest tasks (deterministic; the identity on unit speeds).
-        let rates = realize_shares(instance, &active, &shares);
+        let rates: Cow<'_, [S]> = if unit_speeds {
+            Cow::Borrowed(&shares)
+        } else {
+            Cow::Owned(realize_shares(instance, &active, &shares))
+        };
 
         // Time to the next completion among tasks that progress.
         let mut dt: Option<S> = None;
@@ -226,32 +338,38 @@ pub fn replay_with_split<S: Scalar>(
                 });
             }
         }
-        let Some(dt) = dt else {
-            return Err(ScheduleError::InvalidInstance {
-                reason: format!(
-                    "allocation rule '{}' stalled at t = {} with {} tasks active",
-                    rule.name(),
-                    now.to_f64(),
-                    active.len()
-                ),
-            });
+        let dt = dt.filter(|d| d.is_finite() && d.is_positive());
+        // The column ends at the earlier of the next completion and the
+        // next arrival; with neither in sight, the run is stalled. (After
+        // the release pass, any pending arrival is strictly in the
+        // future, so `step` is always positive.)
+        let next_arrival = pending.last().map(|&j| arrivals[j].clone());
+        let (step, end) = match (dt, next_arrival) {
+            (Some(d), Some(na)) if na < now.clone() + d.clone() => (na.clone() - now.clone(), na),
+            (Some(d), _) => (d.clone(), now.clone() + d),
+            (None, Some(na)) => (na.clone() - now.clone(), na),
+            (None, None) => {
+                return Err(RuleError::Stalled {
+                    rule: rule.name(),
+                    at: now.to_f64(),
+                    active: active.len(),
+                })
+            }
         };
-        debug_assert!(dt.is_finite() && dt.is_positive());
 
         columns.push(Column {
             start: now.clone(),
-            end: now.clone() + dt.clone(),
+            end: end.clone(),
             rates: active
                 .iter()
-                .zip(&rates)
+                .zip(rates.iter())
                 .filter(|(_, r)| **r > tol.abs)
                 .map(|(&i, r)| (TaskId(i), r.clone()))
                 .collect(),
         });
 
-        let mut done = Vec::new();
         for (k, &i) in active.iter().enumerate() {
-            let inc = rates[k].clone() * dt.clone();
+            let inc = rates[k].clone() * step.clone();
             // Volume processed while the share sat strictly below the
             // cap is attributed to the "limited" side of the split.
             if tol.lt(shares[k].clone(), views[k].cap.clone()) {
@@ -261,13 +379,12 @@ pub fn replay_with_split<S: Scalar>(
             remaining[i] = remaining[i].clone() - inc;
             if remaining[i] <= tol.slack(instance.tasks[i].volume.clone(), S::zero()) {
                 remaining[i] = S::zero();
-                completions[i] = now.clone() + dt.clone();
-                done.push(i);
+                completions[i] = end.clone();
+                finished[i] = true;
             }
         }
-        debug_assert!(!done.is_empty(), "dt was chosen as a completion time");
-        active.retain(|i| !done.contains(i));
-        now = now + dt;
+        active.retain(|&i| !finished[i]);
+        now = end;
     }
 
     // Clamp the split into [0, Vᵢ] so f64 accumulation drift can never
@@ -276,28 +393,58 @@ pub fn replay_with_split<S: Scalar>(
     for (l, t) in limited.iter_mut().zip(&instance.tasks) {
         *l = l.clone().max_of(S::zero()).min_of(t.volume.clone());
     }
-    Ok((
-        ColumnSchedule {
+    Ok(RuleRun {
+        schedule: ColumnSchedule {
             p: instance.p.clone(),
             completions,
             columns,
         },
         limited,
-    ))
+        events,
+    })
 }
 
-/// Convert machine-count shares into processing rates: lay the active
-/// tasks out on the speed profile fastest-first, heaviest task first
-/// (ties by id). The identity on unit-speed machines, so the identical
-/// path is bit-exact. On restricted assignment the same priority order
-/// drives the polymatroid greedy [`MachineModel::realize_assign`]
+/// The per-event share check of [`run_rule`]: one share per view, each
+/// finite, `≥ −abs` and `≤ cap`, their total `≤ count` (up to `tol`).
+fn check_shares<S: Scalar>(
+    rule: &'static str,
+    shares: &[S],
+    views: &[ActiveTask<S>],
+    count: &S,
+    tol: &Tolerance<S>,
+) -> Result<(), RuleError> {
+    let violation = |reason: String| Err(RuleError::Violation { rule, reason });
+    if shares.len() != views.len() {
+        return violation(format!("{} rates for {} tasks", shares.len(), views.len()));
+    }
+    let mut total = S::zero();
+    for (r, v) in shares.iter().zip(views) {
+        if !r.is_finite() || *r < -tol.abs.clone() {
+            return violation(format!("rate {:?} for task {} is negative/NaN", r, v.id));
+        }
+        if !tol.le(r.clone(), v.cap.clone()) {
+            return violation(format!(
+                "rate {:?} exceeds δ = {:?} for task {}",
+                r, v.cap, v.id
+            ));
+        }
+        total = total + r.clone();
+    }
+    if !tol.le(total.clone(), count.clone()) {
+        return violation(format!("total rate {:?} exceeds P = {:?}", total, count));
+    }
+    Ok(())
+}
+
+/// Convert machine-count shares into processing rates on a machine that
+/// is not unit-speed: lay the active tasks out on the speed profile
+/// fastest-first, heaviest task first (ties by id). On restricted
+/// assignment the same priority order drives the polymatroid greedy
+/// [`MachineModel::realize_assign`]
 /// (crate::machine::MachineModel::realize_assign): each task's rate is
 /// its marginal routable flow given the higher-priority tasks — feasible
 /// by construction, and the top task always progresses.
 fn realize_shares<S: Scalar>(instance: &Instance<S>, active: &[usize], shares: &[S]) -> Vec<S> {
-    if instance.machine.unit_speeds() {
-        return shares.to_vec();
-    }
     let mut pos: Vec<usize> = (0..active.len()).collect();
     pos.sort_by(|&a, &b| {
         instance.tasks[active[b]]

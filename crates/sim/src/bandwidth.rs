@@ -14,8 +14,9 @@
 //! completion times* of the malleable transfer schedule — the reduction
 //! this module makes executable.
 
-use crate::engine::{simulate, OnlinePolicy, SimError};
+use crate::engine::{simulate, SimError};
 use malleable_core::instance::{Instance, Task};
+use malleable_core::policy::AllocationRule;
 use malleable_core::schedule::column::ColumnSchedule;
 use numkit::KahanSum;
 
@@ -78,19 +79,19 @@ impl BandwidthScenario {
         s.value()
     }
 
-    /// Distribute codes with an online policy and evaluate at `horizon`.
+    /// Distribute codes with an online allocation rule and evaluate at
+    /// `horizon`.
     ///
     /// # Errors
     /// Propagates [`SimError`] from the engine.
     pub fn run_policy(
         &self,
-        policy: &mut dyn OnlinePolicy,
+        rule: &dyn AllocationRule<f64>,
         horizon: f64,
     ) -> Result<BandwidthReport, SimError> {
         let instance = self.to_instance();
-        let name = policy.name();
-        let result = simulate(&instance, policy)?;
-        Ok(self.report(name, &result.schedule, &instance, horizon))
+        let result = simulate(&instance, rule)?;
+        Ok(self.report(rule.name(), &result.schedule, &instance, horizon))
     }
 
     /// Evaluate an externally produced transfer schedule at `horizon`.
@@ -118,7 +119,7 @@ impl BandwidthScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::{PriorityPolicy, WdeqPolicy};
+    use malleable_core::policy::rules::{PriorityRule, WdeqRule};
 
     fn fleet() -> BandwidthScenario {
         BandwidthScenario {
@@ -156,9 +157,8 @@ mod tests {
     fn throughput_identity_when_all_complete() {
         // Σw·(T − C) = T·Σw − ΣwC whenever C ≤ T for all workers.
         let sc = fleet();
-        let mut p = WdeqPolicy;
         let horizon = 100.0;
-        let rep = sc.run_policy(&mut p, horizon).unwrap();
+        let rep = sc.run_policy(&WdeqRule, horizon).unwrap();
         let lhs = rep.throughput;
         let rhs = horizon * sc.total_rate() - rep.weighted_completion;
         assert!((lhs - rhs).abs() < 1e-6, "{lhs} vs {rhs}");
@@ -179,8 +179,8 @@ mod tests {
     fn lower_weighted_completion_means_higher_throughput() {
         let sc = fleet();
         let horizon = 50.0;
-        let a = sc.run_policy(&mut WdeqPolicy, horizon).unwrap();
-        let b = sc.run_policy(&mut PriorityPolicy, horizon).unwrap();
+        let a = sc.run_policy(&WdeqRule, horizon).unwrap();
+        let b = sc.run_policy(&PriorityRule, horizon).unwrap();
         // The equivalence: ordering by ΣwC is the reverse of ordering by
         // throughput (same horizon, same fleet).
         if a.weighted_completion < b.weighted_completion {

@@ -1,59 +1,34 @@
-//! Event-driven non-clairvoyant simulation.
+//! The non-clairvoyant online engine.
 //!
-//! The engine owns the ground truth (remaining volumes) and exposes only
-//! observable state to the policy: task identity, weight, cap, the volume
-//! *already processed* and the current time. Allocation is recomputed at
-//! every event — task completions, and (when the instance carries release
-//! times) task *arrivals* — the granularity the paper's malleable model
-//! works at (between events, any constant allocation is equivalent to any
-//! other with the same per-column totals, by Theorem 3).
+//! [`simulate`] runs an [`AllocationRule`] through the one event loop of
+//! the workspace, [`malleable_core::policy::rules::run_rule`]: the loop
+//! owns the ground truth (remaining volumes) and shows the rule only
+//! observable state — task identity, weight, cap and the volume *already
+//! processed*. Allocation is recomputed at every event — task
+//! completions, and (when the instance carries release times) task
+//! *arrivals* — the granularity the paper's malleable model works at
+//! (between events, any constant allocation is equivalent to any other
+//! with the same per-column totals, by Theorem 3).
 //!
 //! Streaming arrivals: an [`Instance`] with `arrivals` set releases each
-//! task at its `rᵢ`; the policy only ever sees released, unfinished tasks,
-//! and the engine cuts a fresh column at every release (so the executed
-//! schedule never allocates a task before it exists — validated by
-//! `ColumnSchedule::validate` against the same instance). Instances
-//! without arrivals take the exact same code path as before, bit for bit.
+//! task at its `rᵢ`; the rule only ever sees released, unfinished tasks,
+//! and every release cuts a fresh column (so the executed schedule never
+//! allocates a task before it exists — validated by
+//! `ColumnSchedule::validate` against the same instance). Every share
+//! vector is checked against the caps and the machine count before it
+//! runs.
 //!
 //! Like the core algorithm stack, the engine is generic over
-//! [`numkit::Scalar`] with `f64` as the default: existing callers keep
-//! the fast path unchanged, while an exact instantiation replays the same
-//! event loop in certified arithmetic (every comparison at the zero
-//! tolerance).
+//! [`numkit::Scalar`] with `f64` as the default; an exact instantiation
+//! replays the same event loop in certified arithmetic (every comparison
+//! at the zero tolerance).
 
-use malleable_core::instance::{Instance, TaskId};
-use malleable_core::schedule::column::{Column, ColumnSchedule};
+use malleable_core::instance::Instance;
+use malleable_core::policy::rules::{run_rule, AllocationRule, RuleError};
+use malleable_core::schedule::column::ColumnSchedule;
 use malleable_core::ScheduleError;
-use numkit::{Scalar, Tolerance};
+use numkit::Scalar;
 use std::fmt;
-
-/// Observable state of one unfinished task. Deliberately **no remaining
-/// volume** — policies are non-clairvoyant.
-#[derive(Debug, Clone)]
-pub struct TaskView<S = f64> {
-    /// Task identity (stable across events).
-    pub id: TaskId,
-    /// Weight `wᵢ` (known to the scheduler in the weighted model).
-    pub weight: S,
-    /// Effective cap `min(δᵢ, P)`.
-    pub delta: S,
-    /// Volume processed so far (observable: work done is measurable).
-    pub processed: S,
-}
-
-/// A non-clairvoyant allocation policy.
-///
-/// `allocate` is invoked at `t = 0` and after every task completion; the
-/// returned rates apply until the next event. Rates are indexed like
-/// `active` and must satisfy `0 ≤ rateₖ ≤ active[k].delta` and
-/// `Σ rateₖ ≤ p` (validated by the engine).
-pub trait OnlinePolicy<S: Scalar = f64> {
-    /// Human-readable name (for experiment tables).
-    fn name(&self) -> &'static str;
-
-    /// Choose rates for the active tasks.
-    fn allocate(&mut self, now: &S, active: &[TaskView<S>], p: &S) -> Vec<S>;
-}
 
 /// Simulation failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,6 +70,19 @@ impl From<ScheduleError> for SimError {
     }
 }
 
+impl From<RuleError> for SimError {
+    fn from(e: RuleError) -> Self {
+        match e {
+            RuleError::Instance(e) => SimError::Instance(e),
+            RuleError::Violation { rule, reason } => SimError::PolicyViolation {
+                policy: rule,
+                reason,
+            },
+            RuleError::Stalled { at, .. } => SimError::Stalled { at },
+        }
+    }
+}
+
 /// Outcome of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimResult<S = f64> {
@@ -122,175 +110,29 @@ impl<S: Scalar> SimResult<S> {
     }
 }
 
-/// Run `policy` on `instance` until all tasks complete, honoring release
+/// Run `rule` on `instance` until all tasks complete, honoring release
 /// times when the instance carries them (tasks become visible to the
-/// policy only once arrived; every arrival cuts a new column).
+/// rule only once arrived; every arrival cuts a new column).
+///
+/// The engine accepts identical and uniform-speed machines only: the
+/// rule shares machine counts (per-task cap, `Σ ≤` machine count) and
+/// each count runs at the one machine speed. Heterogeneous machines run
+/// through the `malleable_core::policy` registry instead.
 ///
 /// # Errors
-/// [`SimError::PolicyViolation`] when the policy emits out-of-range rates,
+/// [`SimError::PolicyViolation`] when the rule emits out-of-range shares,
 /// [`SimError::Stalled`] when no task progresses and nothing further
-/// arrives, or [`SimError::Instance`] for malformed instances.
+/// arrives, or [`SimError::Instance`] for malformed or heterogeneous
+/// instances.
 pub fn simulate<S: Scalar>(
     instance: &Instance<S>,
-    policy: &mut dyn OnlinePolicy<S>,
+    rule: &dyn AllocationRule<S>,
 ) -> Result<SimResult<S>, SimError> {
-    instance.validate()?;
-    // The engine validates policies against the rate-space feasibility
-    // region (per-task cap, Σ ≤ P), which is only the true region on
-    // identical/uniform machines; related-machines policies run through
-    // `malleable_core::policy` instead.
     instance.require_uniform_machine("the online simulation engine")?;
-    let tol = Tolerance::<S>::for_instance(instance.n());
-    let n = instance.n();
-    let arrivals: Vec<S> = (0..n).map(|i| instance.arrival(TaskId(i))).collect();
-    let mut remaining: Vec<S> = instance.tasks.iter().map(|t| t.volume.clone()).collect();
-    let mut processed: Vec<S> = vec![S::zero(); n];
-    // Tasks released at t = 0 start active; the rest wait in `pending`,
-    // kept pop-friendly (latest arrival first, ties by id).
-    let mut active: Vec<usize> = (0..n).filter(|&i| !arrivals[i].is_positive()).collect();
-    let mut pending: Vec<usize> = (0..n).filter(|&i| arrivals[i].is_positive()).collect();
-    pending.sort_by(|&a, &b| arrivals[b].total_cmp_s(&arrivals[a]).then(b.cmp(&a)));
-    let mut completions = vec![S::zero(); n];
-    let mut columns = Vec::new();
-    let mut now = S::zero();
-    let mut events = 0usize;
-    // Scratch buffers reused across events: at n = 10⁵+ the per-event
-    // view rebuild dominates allocator traffic if each iteration starts
-    // from a fresh Vec.
-    let mut views: Vec<TaskView<S>> = Vec::with_capacity(n);
-    let mut done: Vec<usize> = Vec::new();
-
-    while !active.is_empty() || !pending.is_empty() {
-        // Release everything that has arrived by `now`.
-        while let Some(&j) = pending.last() {
-            if arrivals[j] <= now {
-                active.push(pending.pop().expect("peeked"));
-            } else {
-                break;
-            }
-        }
-        // Nothing runnable: idle forward to the next arrival with an
-        // empty column (columns must stay contiguous from t = 0).
-        if active.is_empty() {
-            let j = *pending.last().expect("outer loop guarantees work left");
-            columns.push(Column {
-                start: now.clone(),
-                end: arrivals[j].clone(),
-                rates: vec![],
-            });
-            now = arrivals[j].clone();
-            continue;
-        }
-        views.clear();
-        views.extend(active.iter().map(|&i| TaskView {
-            id: TaskId(i),
-            weight: instance.tasks[i].weight.clone(),
-            delta: instance.effective_delta(TaskId(i)),
-            processed: processed[i].clone(),
-        }));
-        let rates = policy.allocate(&now, &views, &instance.p);
-        events += 1;
-
-        // Validate the policy's output.
-        if rates.len() != views.len() {
-            return Err(SimError::PolicyViolation {
-                policy: policy.name(),
-                reason: format!("{} rates for {} tasks", rates.len(), views.len()),
-            });
-        }
-        let mut total = S::zero();
-        for (r, v) in rates.iter().zip(&views) {
-            if !r.is_finite() || *r < -tol.abs.clone() {
-                return Err(SimError::PolicyViolation {
-                    policy: policy.name(),
-                    reason: format!("rate {:?} for task {} is negative/NaN", r, v.id),
-                });
-            }
-            if !tol.le(r.clone(), v.delta.clone()) {
-                return Err(SimError::PolicyViolation {
-                    policy: policy.name(),
-                    reason: format!("rate {:?} exceeds δ = {:?} for task {}", r, v.delta, v.id),
-                });
-            }
-            total = total + r.clone();
-        }
-        if !tol.le(total.clone(), instance.p.clone()) {
-            return Err(SimError::PolicyViolation {
-                policy: policy.name(),
-                reason: format!("total rate {:?} exceeds P = {:?}", total, instance.p),
-            });
-        }
-
-        // Advance to the next completion.
-        let mut dt: Option<S> = None;
-        for (k, &i) in active.iter().enumerate() {
-            if rates[k] > tol.abs {
-                let t_i = remaining[i].clone() / rates[k].clone();
-                dt = Some(match dt {
-                    Some(d) => d.min_of(t_i),
-                    None => t_i,
-                });
-            }
-        }
-        let dt = match dt {
-            Some(d) if d.is_finite() && d.is_positive() => Some(d),
-            _ => None,
-        };
-        // The column ends at the earlier of the next completion and the
-        // next arrival; with neither in sight, the run is stalled. (After
-        // the release pass, any pending arrival is strictly in the
-        // future, so `step` is always positive.)
-        let next_arrival = pending.last().map(|&j| arrivals[j].clone());
-        let (step, end, arrival_cut) = match (dt, next_arrival) {
-            (Some(d), Some(na)) => {
-                if na < now.clone() + d.clone() {
-                    (na.clone() - now.clone(), na, true)
-                } else {
-                    (d.clone(), now.clone() + d, false)
-                }
-            }
-            (Some(d), None) => (d.clone(), now.clone() + d, false),
-            (None, Some(na)) => (na.clone() - now.clone(), na, true),
-            (None, None) => return Err(SimError::Stalled { at: now.to_f64() }),
-        };
-
-        columns.push(Column {
-            start: now.clone(),
-            end: end.clone(),
-            rates: active
-                .iter()
-                .zip(&rates)
-                .filter(|(_, r)| **r > tol.abs)
-                .map(|(&i, r)| (TaskId(i), r.clone()))
-                .collect(),
-        });
-
-        done.clear();
-        for (k, &i) in active.iter().enumerate() {
-            let inc = rates[k].clone() * step.clone();
-            processed[i] = processed[i].clone() + inc.clone();
-            remaining[i] = remaining[i].clone() - inc;
-            if remaining[i] <= tol.slack(instance.tasks[i].volume.clone(), S::zero()) {
-                remaining[i] = S::zero();
-                completions[i] = end.clone();
-                done.push(i);
-            }
-        }
-        debug_assert!(
-            arrival_cut || !done.is_empty(),
-            "step chosen as a completion time"
-        );
-        active.retain(|i| !done.contains(i));
-        now = end;
-    }
-
+    let run = run_rule(instance, rule)?;
     Ok(SimResult {
-        schedule: ColumnSchedule {
-            p: instance.p.clone(),
-            completions,
-            columns,
-        },
-        events,
+        schedule: run.schedule,
+        events: run.events,
     })
 }
 
@@ -298,19 +140,21 @@ pub fn simulate<S: Scalar>(
 mod tests {
     use super::*;
     use malleable_core::instance::Instance;
+    use malleable_core::policy::rules::ActiveTask;
+    use std::cell::RefCell;
 
     /// Gives everything to the first active task (capped), rest zero.
     struct FirstFit;
-    impl OnlinePolicy for FirstFit {
+    impl AllocationRule<f64> for FirstFit {
         fn name(&self) -> &'static str {
             "first-fit"
         }
-        fn allocate(&mut self, _now: &f64, active: &[TaskView], p: &f64) -> Vec<f64> {
+        fn rates(&self, active: &[ActiveTask], p: &f64) -> Vec<f64> {
             let mut left = *p;
             active
                 .iter()
                 .map(|v| {
-                    let r = v.delta.min(left);
+                    let r = v.cap.min(left);
                     left -= r;
                     r
                 })
@@ -319,31 +163,31 @@ mod tests {
     }
 
     struct BadLength;
-    impl OnlinePolicy for BadLength {
+    impl AllocationRule<f64> for BadLength {
         fn name(&self) -> &'static str {
             "bad-length"
         }
-        fn allocate(&mut self, _: &f64, _: &[TaskView], _: &f64) -> Vec<f64> {
+        fn rates(&self, _: &[ActiveTask], _: &f64) -> Vec<f64> {
             vec![]
         }
     }
 
     struct OverCap;
-    impl OnlinePolicy for OverCap {
+    impl AllocationRule<f64> for OverCap {
         fn name(&self) -> &'static str {
             "over-cap"
         }
-        fn allocate(&mut self, _: &f64, active: &[TaskView], _: &f64) -> Vec<f64> {
-            active.iter().map(|v| v.delta * 2.0).collect()
+        fn rates(&self, active: &[ActiveTask], _: &f64) -> Vec<f64> {
+            active.iter().map(|v| v.cap * 2.0).collect()
         }
     }
 
     struct Lazy;
-    impl OnlinePolicy for Lazy {
+    impl AllocationRule<f64> for Lazy {
         fn name(&self) -> &'static str {
             "lazy"
         }
-        fn allocate(&mut self, _: &f64, active: &[TaskView], _: &f64) -> Vec<f64> {
+        fn rates(&self, active: &[ActiveTask], _: &f64) -> Vec<f64> {
             vec![0.0; active.len()]
         }
     }
@@ -358,7 +202,7 @@ mod tests {
 
     #[test]
     fn first_fit_runs_to_completion() {
-        let r = simulate(&inst(), &mut FirstFit).unwrap();
+        let r = simulate(&inst(), &FirstFit).unwrap();
         r.schedule.validate(&inst()).unwrap();
         // T0 at rate 1 [0,2]; T1 at rate 1 [0,1]. Both events recorded.
         assert_eq!(r.schedule.completions, vec![2.0, 1.0]);
@@ -370,11 +214,11 @@ mod tests {
     #[test]
     fn policy_violations_detected() {
         assert!(matches!(
-            simulate(&inst(), &mut BadLength),
+            simulate(&inst(), &BadLength),
             Err(SimError::PolicyViolation { .. })
         ));
         assert!(matches!(
-            simulate(&inst(), &mut OverCap),
+            simulate(&inst(), &OverCap),
             Err(SimError::PolicyViolation { .. })
         ));
     }
@@ -382,7 +226,7 @@ mod tests {
     #[test]
     fn stall_detected() {
         assert!(matches!(
-            simulate(&inst(), &mut Lazy),
+            simulate(&inst(), &Lazy),
             Err(SimError::Stalled { .. })
         ));
     }
@@ -392,7 +236,7 @@ mod tests {
         // n = 0: the loop never runs, the schedule is empty and both cost
         // aggregates are zero (not NaN).
         let empty = Instance::new(2.0, vec![]).unwrap();
-        let r = simulate(&empty, &mut FirstFit).unwrap();
+        let r = simulate(&empty, &FirstFit).unwrap();
         assert_eq!(r.events, 0);
         assert_eq!(r.cost(&empty), 0.0);
         assert_eq!(r.mean_cost(&empty), 0.0);
@@ -405,7 +249,7 @@ mod tests {
             .task(1.0, 0.0, 2.0)
             .build()
             .unwrap();
-        let r = simulate(&i, &mut FirstFit).unwrap();
+        let r = simulate(&i, &FirstFit).unwrap();
         assert_eq!(r.cost(&i), 0.0);
         // Σ wᵢCᵢ / Σ wᵢ would be 0/0; the guard returns zero.
         assert_eq!(r.mean_cost(&i), 0.0);
@@ -417,20 +261,15 @@ mod tests {
         use bigratio::Rational;
         let q = Rational::from_f64_exact;
         struct Even;
-        impl OnlinePolicy<Rational> for Even {
+        impl AllocationRule<Rational> for Even {
             fn name(&self) -> &'static str {
                 "even"
             }
-            fn allocate(
-                &mut self,
-                _: &Rational,
-                active: &[TaskView<Rational>],
-                p: &Rational,
-            ) -> Vec<Rational> {
+            fn rates(&self, active: &[ActiveTask<Rational>], p: &Rational) -> Vec<Rational> {
                 let share = p.clone() / Rational::from_int(active.len() as i64);
                 active
                     .iter()
-                    .map(|v| v.delta.clone().min_of(share.clone()))
+                    .map(|v| v.cap.clone().min_of(share.clone()))
                     .collect()
             }
         }
@@ -439,7 +278,7 @@ mod tests {
             .task(q(1.0), q(2.0), q(3.0))
             .build()
             .unwrap();
-        let r = simulate(&i, &mut Even).unwrap();
+        let r = simulate(&i, &Even).unwrap();
         r.schedule.validate(&i).unwrap(); // zero tolerance
         assert_eq!(r.cost(&i), r.schedule.weighted_completion_cost(&i));
     }
@@ -448,7 +287,7 @@ mod tests {
     fn arrivals_delay_visibility_and_cut_columns() {
         // T0 (V=2, δ=1) at t = 0; T1 (V=1, δ=2) arrives at t = 1.
         let timed = inst().with_arrivals(vec![0.0, 1.0]).unwrap();
-        let r = simulate(&timed, &mut FirstFit).unwrap();
+        let r = simulate(&timed, &FirstFit).unwrap();
         r.schedule.validate(&timed).unwrap(); // includes the arrival check
                                               // T0 runs alone on [0,1] (arrival cut), then both to completion:
                                               // T0 finishes at 2, T1 (rate 1, the leftover capacity) at 2.
@@ -458,7 +297,7 @@ mod tests {
         assert_eq!(r.schedule.columns[0].rates.len(), 1);
         // Offline solve of the same instance without arrivals differs:
         // FirstFit would finish T1 at t = 0.5. The arrival delayed it.
-        let offline = simulate(&inst(), &mut FirstFit).unwrap();
+        let offline = simulate(&inst(), &FirstFit).unwrap();
         assert_eq!(offline.schedule.completions, vec![2.0, 1.0]);
     }
 
@@ -471,7 +310,7 @@ mod tests {
             .arrivals(vec![3.0])
             .build()
             .unwrap();
-        let r = simulate(&late, &mut FirstFit).unwrap();
+        let r = simulate(&late, &FirstFit).unwrap();
         r.schedule.validate(&late).unwrap();
         assert_eq!(r.schedule.completions, vec![5.0]);
         assert_eq!(r.schedule.columns[0].rates.len(), 0);
@@ -482,7 +321,7 @@ mod tests {
     fn stall_after_last_arrival_detected() {
         let timed = inst().with_arrivals(vec![0.0, 1.0]).unwrap();
         assert!(matches!(
-            simulate(&timed, &mut Lazy),
+            simulate(&timed, &Lazy),
             Err(SimError::Stalled { at }) if at >= 1.0
         ));
     }
@@ -490,8 +329,8 @@ mod tests {
     #[test]
     fn zero_arrivals_match_the_offline_path_bitwise() {
         let zeroed = inst().with_arrivals(vec![0.0, 0.0]).unwrap();
-        let a = simulate(&inst(), &mut FirstFit).unwrap();
-        let b = simulate(&zeroed, &mut FirstFit).unwrap();
+        let a = simulate(&inst(), &FirstFit).unwrap();
+        let b = simulate(&zeroed, &FirstFit).unwrap();
         assert_eq!(a.schedule.completions, b.schedule.completions);
         assert_eq!(a.events, b.events);
     }
@@ -501,20 +340,15 @@ mod tests {
         use bigratio::Rational;
         let q = Rational::from_f64_exact;
         struct Even;
-        impl OnlinePolicy<Rational> for Even {
+        impl AllocationRule<Rational> for Even {
             fn name(&self) -> &'static str {
                 "even"
             }
-            fn allocate(
-                &mut self,
-                _: &Rational,
-                active: &[TaskView<Rational>],
-                p: &Rational,
-            ) -> Vec<Rational> {
+            fn rates(&self, active: &[ActiveTask<Rational>], p: &Rational) -> Vec<Rational> {
                 let share = p.clone() / Rational::from_int(active.len() as i64);
                 active
                     .iter()
-                    .map(|v| v.delta.clone().min_of(share.clone()))
+                    .map(|v| v.cap.clone().min_of(share.clone()))
                     .collect()
             }
         }
@@ -524,30 +358,33 @@ mod tests {
             .arrivals(vec![q(0.0), q(0.5)])
             .build()
             .unwrap();
-        let r = simulate(&i, &mut Even).unwrap();
+        let r = simulate(&i, &Even).unwrap();
         r.schedule.validate(&i).unwrap(); // zero tolerance, incl. arrivals
     }
 
     #[test]
     fn views_hide_remaining_volume() {
-        // Structural guarantee: TaskView has no remaining-volume field.
+        // Structural guarantee: ActiveTask has no remaining-volume field.
         // Verify the observable `processed` increases across events.
         struct Recorder {
-            seen: Vec<f64>,
+            seen: RefCell<Vec<f64>>,
         }
-        impl OnlinePolicy for Recorder {
+        impl AllocationRule<f64> for Recorder {
             fn name(&self) -> &'static str {
                 "recorder"
             }
-            fn allocate(&mut self, _: &f64, active: &[TaskView], p: &f64) -> Vec<f64> {
-                self.seen.push(active[0].processed);
+            fn rates(&self, active: &[ActiveTask], p: &f64) -> Vec<f64> {
+                self.seen.borrow_mut().push(active[0].processed);
                 let share = p / active.len() as f64;
-                active.iter().map(|v| v.delta.min(share)).collect()
+                active.iter().map(|v| v.cap.min(share)).collect()
             }
         }
-        let mut rec = Recorder { seen: vec![] };
-        simulate(&inst(), &mut rec).unwrap();
-        assert!(rec.seen.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(rec.seen[0], 0.0);
+        let rec = Recorder {
+            seen: RefCell::new(vec![]),
+        };
+        simulate(&inst(), &rec).unwrap();
+        let seen = rec.seen.into_inner();
+        assert!(seen.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(seen[0], 0.0);
     }
 }

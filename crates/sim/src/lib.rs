@@ -2,16 +2,19 @@
 //!
 //! The paper's WDEQ result (Theorem 4) is about the **non-clairvoyant**
 //! setting: the scheduler never sees task volumes, only completions as they
-//! happen. `malleable-core` replays WDEQ clairvoyantly (fast, closed-form);
-//! this crate provides the honest version:
+//! happen. The allocation rules and the event loop that runs them live in
+//! `malleable-core`; this crate is their online face:
 //!
-//! * [`engine`] — an event-driven simulator that feeds an
-//!   [`engine::OnlinePolicy`] only observable state (weights, caps,
-//!   processed volume — never remaining volume) and advances between
-//!   completion events. Policy outputs are validated against the machine
-//!   model at every step.
-//! * [`policies`] — WDEQ, DEQ (unweighted), weighted-share-without-
-//!   redistribution (the WRR analogue) and a weight-priority baseline.
+//! * [`engine`] — [`simulate`] runs an
+//!   [`AllocationRule`](malleable_core::policy::AllocationRule) through
+//!   the workspace's one event loop
+//!   ([`malleable_core::policy::rules::run_rule`]), which shows the rule
+//!   only observable state (weights, caps, processed volume — never
+//!   remaining volume), advances between completion and arrival events,
+//!   and checks every share vector against the machine model.
+//! * [`policies`] — the online-capable rules by name: WDEQ, DEQ
+//!   (unweighted), weighted-share-without-redistribution (the WRR
+//!   analogue) and a weight-priority baseline.
 //! * [`bandwidth`] — the paper's Figure-1 application: a server with
 //!   outgoing bandwidth `P` pushes code of size `Vᵢ` to workers with link
 //!   capacity `δᵢ` and processing rate `wᵢ`; maximizing work processed by a
@@ -26,6 +29,5 @@ pub mod metrics;
 pub mod policies;
 
 pub use bandwidth::{BandwidthReport, BandwidthScenario, Worker};
-pub use engine::{simulate, OnlinePolicy, SimError, SimResult, TaskView};
+pub use engine::{simulate, SimError, SimResult};
 pub use metrics::{metrics, ScheduleMetrics};
-pub use policies::{DeqPolicy, PriorityPolicy, UncappedSharePolicy, WdeqPolicy};

@@ -113,8 +113,8 @@ pub fn metrics<S: Scalar>(
 mod tests {
     use super::*;
     use crate::engine::simulate;
-    use crate::policies::{PriorityPolicy, WdeqPolicy};
     use malleable_core::instance::Instance;
+    use malleable_core::policy::rules::{PriorityRule, WdeqRule};
 
     fn inst() -> Instance {
         Instance::builder(2.0)
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn perfect_packing_has_unit_utilization() {
-        let r = simulate(&inst(), &mut WdeqPolicy).unwrap();
+        let r = simulate(&inst(), &WdeqRule).unwrap();
         let u = utilization(&r.schedule);
         assert!((u - 1.0).abs() < 1e-9, "two δ=1 tasks fill P=2: {u}");
     }
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn stretch_is_one_on_an_empty_machine() {
         let single = Instance::builder(4.0).task(2.0, 1.0, 2.0).build().unwrap();
-        let r = simulate(&single, &mut WdeqPolicy).unwrap();
+        let r = simulate(&single, &WdeqRule).unwrap();
         assert!((max_stretch(&single, &r.schedule) - 1.0).abs() < 1e-9);
     }
 
@@ -147,8 +147,8 @@ mod tests {
             .task(2.0, 1.0, 2.0)
             .build()
             .unwrap();
-        let fair = simulate(&i, &mut WdeqPolicy).unwrap();
-        let unfair = simulate(&i, &mut PriorityPolicy).unwrap();
+        let fair = simulate(&i, &WdeqRule).unwrap();
+        let unfair = simulate(&i, &PriorityRule).unwrap();
         let jf = jain_fairness(&i, &fair.schedule);
         let ju = jain_fairness(&i, &unfair.schedule);
         assert!(jf > 0.999, "symmetric WDEQ should be perfectly fair: {jf}");
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn metrics_bundle_consistent() {
         let i = inst();
-        let r = simulate(&i, &mut WdeqPolicy).unwrap();
+        let r = simulate(&i, &WdeqRule).unwrap();
         let m = metrics(&i, &r.schedule);
         assert_eq!(
             m.weighted_completion,
@@ -180,7 +180,7 @@ mod tests {
             .task(q(2.0), q(1.0), q(1.0))
             .build()
             .unwrap();
-        let r = simulate(&i, &mut WdeqPolicy).unwrap();
+        let r = simulate(&i, &WdeqRule).unwrap();
         let m = metrics(&i, &r.schedule);
         assert_eq!(m.utilization, Rational::from_int(1));
         assert_eq!(m.jain_fairness, Rational::from_int(1));

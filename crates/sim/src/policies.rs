@@ -1,84 +1,21 @@
-//! Non-clairvoyant allocation policies — thin adapters over the canonical
-//! rules in [`malleable_core::policy::rules`].
+//! The online-capable allocation rules, by name.
 //!
-//! The algorithm logic (Algorithm 1's equipartition, its ablations, the
-//! priority baseline) lives exactly once, in the core policy layer; here
-//! each rule is wrapped behind the engine's [`OnlinePolicy`] interface so
-//! it runs under the genuinely non-clairvoyant event loop of
-//! [`crate::engine::simulate`] — which independently re-validates every
-//! allocation the rule emits. Integration tests check the online runs
-//! against the core's clairvoyant replays of the *same* rules.
+//! The rules themselves — Algorithm 1's equipartition, its ablations, the
+//! priority baseline — live once, in [`malleable_core::policy::rules`],
+//! and [`crate::engine::simulate`] runs them directly. This module only
+//! names the ones that can run against streaming arrivals:
 //!
-//! * [`WdeqPolicy`] — Algorithm 1, the paper's 2-approximation.
-//! * [`DeqPolicy`] — the unweighted special case (Deng et al.).
-//! * [`UncappedSharePolicy`] — proportional share *without* surplus
-//!   redistribution (ablation).
-//! * [`PriorityPolicy`] — heaviest-first list allocation (unfair
-//!   baseline).
+//! * `wdeq` — [`WdeqRule`], Algorithm 1, the paper's 2-approximation;
+//! * `deq` — [`DeqRule`], the unweighted special case (Deng et al.);
+//! * `share-no-redistribution` — [`ShareNoRedistributionRule`],
+//!   proportional share *without* surplus redistribution (ablation);
+//! * `priority` — [`PriorityRule`], heaviest-first list allocation
+//!   (unfair baseline).
 
-use crate::engine::{OnlinePolicy, TaskView};
 use malleable_core::policy::rules::{
-    ActiveTask, AllocationRule, DeqRule, PriorityRule, ShareNoRedistributionRule, WdeqRule,
+    AllocationRule, DeqRule, PriorityRule, ShareNoRedistributionRule, WdeqRule,
 };
 use numkit::Scalar;
-
-/// Translate the engine's observable views into the core rule input and
-/// delegate — the entire body of every adapter below. Generic over the
-/// scalar like the rules themselves, so the adapters drive exact
-/// simulations as readily as `f64` ones.
-fn rule_rates<S: Scalar, R: AllocationRule<S>>(rule: &R, active: &[TaskView<S>], p: &S) -> Vec<S> {
-    let views: Vec<ActiveTask<S>> = active
-        .iter()
-        .map(|v| ActiveTask {
-            id: v.id,
-            weight: v.weight.clone(),
-            cap: v.delta.clone(),
-            processed: v.processed.clone(),
-        })
-        .collect();
-    rule.rates(&views, p)
-}
-
-macro_rules! rule_adapter {
-    ($(#[$doc:meta])* $policy:ident => $rule:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Default, Clone, Copy)]
-        pub struct $policy;
-
-        impl<S: Scalar> OnlinePolicy<S> for $policy {
-            fn name(&self) -> &'static str {
-                AllocationRule::<S>::name(&$rule)
-            }
-
-            fn allocate(&mut self, _now: &S, active: &[TaskView<S>], p: &S) -> Vec<S> {
-                rule_rates(&$rule, active, p)
-            }
-        }
-    };
-}
-
-rule_adapter! {
-    /// Algorithm 1 (WDEQ) as an online policy.
-    WdeqPolicy => WdeqRule
-}
-
-rule_adapter! {
-    /// DEQ: dynamic equipartition ignoring weights (all tasks count 1).
-    DeqPolicy => DeqRule
-}
-
-rule_adapter! {
-    /// Proportional weighted share clamped at `δᵢ`, **without**
-    /// redistributing the clamped surplus. Wastes capacity whenever a cap
-    /// binds.
-    UncappedSharePolicy => ShareNoRedistributionRule
-}
-
-rule_adapter! {
-    /// Weight-priority list allocation: active tasks sorted by weight
-    /// (descending, ties by id), each takes `min(δ, remaining capacity)`.
-    PriorityPolicy => PriorityRule
-}
 
 /// Names of every online-capable policy, in registry order. These are the
 /// policies that can run under [`crate::engine::simulate`] against
@@ -86,14 +23,14 @@ rule_adapter! {
 /// also contains clairvoyant solvers that cannot).
 pub const ONLINE_POLICY_NAMES: &[&str] = &["wdeq", "deq", "share-no-redistribution", "priority"];
 
-/// Look up an online policy adapter by its rule name. Returns `None` for
-/// names not in [`ONLINE_POLICY_NAMES`].
-pub fn by_name<S: Scalar>(name: &str) -> Option<Box<dyn OnlinePolicy<S>>> {
+/// Look up an online allocation rule by name. Returns `None` for names
+/// not in [`ONLINE_POLICY_NAMES`].
+pub fn by_name<S: Scalar>(name: &str) -> Option<Box<dyn AllocationRule<S>>> {
     match name {
-        "wdeq" => Some(Box::new(WdeqPolicy)),
-        "deq" => Some(Box::new(DeqPolicy)),
-        "share-no-redistribution" => Some(Box::new(UncappedSharePolicy)),
-        "priority" => Some(Box::new(PriorityPolicy)),
+        "wdeq" => Some(Box::new(WdeqRule)),
+        "deq" => Some(Box::new(DeqRule)),
+        "share-no-redistribution" => Some(Box::new(ShareNoRedistributionRule)),
+        "priority" => Some(Box::new(PriorityRule)),
         _ => None,
     }
 }
@@ -102,9 +39,11 @@ pub fn by_name<S: Scalar>(name: &str) -> Option<Box<dyn OnlinePolicy<S>>> {
 mod tests {
     use super::*;
     use crate::engine::simulate;
+    use bigratio::Rational;
     use malleable_core::algos::wdeq::wdeq_schedule;
     use malleable_core::instance::Instance;
     use malleable_core::policy::rules::replay;
+    use malleable_workloads::{generate, Spec};
 
     fn inst() -> Instance {
         Instance::builder(4.0)
@@ -118,7 +57,7 @@ mod tests {
     #[test]
     fn online_wdeq_matches_clairvoyant_replay() {
         let i = inst();
-        let online = simulate(&i, &mut WdeqPolicy).unwrap();
+        let online = simulate(&i, &WdeqRule).unwrap();
         let offline = wdeq_schedule(&i);
         for (a, b) in online.schedule.completions.iter().zip(&offline.completions) {
             assert!((a - b).abs() < 1e-9, "online {a} vs offline {b}");
@@ -128,61 +67,75 @@ mod tests {
     #[test]
     fn all_policies_produce_valid_schedules() {
         let i = inst();
-        let policies: Vec<Box<dyn crate::engine::OnlinePolicy>> = vec![
-            Box::new(WdeqPolicy),
-            Box::new(DeqPolicy),
-            Box::new(UncappedSharePolicy),
-            Box::new(PriorityPolicy),
-        ];
-        for mut p in policies {
-            let r = simulate(&i, p.as_mut()).unwrap();
+        for name in ONLINE_POLICY_NAMES {
+            let rule = by_name::<f64>(name).unwrap();
+            let r = simulate(&i, rule.as_ref()).unwrap();
             r.schedule
                 .validate(&i)
-                .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+    }
+
+    /// `simulate` and the registry's `replay` of one rule produce the
+    /// same schedule, column for column and bit for bit.
+    fn assert_online_equals_replay<S: Scalar>(instance: &Instance<S>, label: &str) {
+        for name in ONLINE_POLICY_NAMES {
+            let rule = by_name::<S>(name).unwrap();
+            let online = simulate(instance, rule.as_ref()).unwrap();
+            online
+                .schedule
+                .validate(instance)
+                .unwrap_or_else(|e| panic!("{name} on {label}: {e}"));
+            let core = replay(instance, rule.as_ref()).unwrap();
+            assert_eq!(online.schedule, core, "{name} on {label}");
         }
     }
 
     #[test]
-    fn every_adapter_agrees_with_its_core_replay() {
-        // The same rule, run online (engine hides volumes) and replayed
-        // clairvoyantly in core, must produce identical completion times —
-        // the structural proof that sim holds no algorithm logic of its
-        // own.
-        let i = inst();
-        for (mut online, rule) in [
-            (
-                Box::new(WdeqPolicy) as Box<dyn OnlinePolicy>,
-                Box::new(WdeqRule) as Box<dyn AllocationRule<f64>>,
-            ),
-            (Box::new(DeqPolicy), Box::new(DeqRule)),
-            (
-                Box::new(UncappedSharePolicy),
-                Box::new(ShareNoRedistributionRule),
-            ),
-            (Box::new(PriorityPolicy), Box::new(PriorityRule)),
+    fn online_engine_equals_the_replay_exactly() {
+        for spec in [
+            Spec::PaperUniform { n: 40 },
+            Spec::PoissonArrivals { n: 40, rate: 4.0 },
+            Spec::ArrivalWaves {
+                n: 40,
+                waves: 4,
+                gap: 1.0,
+            },
         ] {
-            let sim = simulate(&i, online.as_mut()).unwrap();
-            let core = replay(&i, rule.as_ref()).unwrap();
-            for (a, b) in sim.schedule.completions.iter().zip(&core.completions) {
-                assert!((a - b).abs() < 1e-9, "{}: {a} vs {b}", online.name());
+            for seed in 1..=2 {
+                let i = generate(&spec, seed);
+                let label = format!("{} seed {seed}", spec.label());
+                assert_online_equals_replay(&i, &label);
+                assert_online_equals_replay(&i.to_scalar::<Rational>(), &label);
             }
         }
+        // Uniform non-unit speeds: the engine shares machine counts and
+        // realizes them through the speed profile, like the registry.
+        let related = Instance::builder(0.0)
+            .task(8.0, 1.0, 2.0)
+            .task(4.0, 2.0, 3.0)
+            .task(2.0, 4.0, 1.0)
+            .speeds(vec![2.0; 3])
+            .arrivals(vec![0.0, 0.5, 1.0])
+            .build()
+            .unwrap();
+        assert_online_equals_replay(&related, "uniform speed 2");
+        assert_online_equals_replay(&related.to_scalar::<Rational>(), "uniform speed 2");
     }
 
     #[test]
     fn exact_online_run_matches_exact_replay() {
-        // The adapters are generic: the same WDEQ rule, run under the
-        // exact engine, reproduces the exact clairvoyant replay — with
-        // `==`, not a tolerance.
-        use bigratio::Rational;
+        // The rules are generic: the same WDEQ rule, run under the exact
+        // engine, reproduces the exact clairvoyant replay — with `==`,
+        // not a tolerance.
         let q = Rational::from_f64_exact;
-        let i = malleable_core::instance::Instance::<Rational>::builder(q(4.0))
+        let i = Instance::<Rational>::builder(q(4.0))
             .task(q(8.0), q(1.0), q(2.0))
             .task(q(4.0), q(2.0), q(4.0))
             .task(q(2.0), q(4.0), q(1.0))
             .build()
             .unwrap();
-        let online = simulate(&i, &mut WdeqPolicy).unwrap();
+        let online = simulate(&i, &WdeqRule).unwrap();
         online.schedule.validate(&i).unwrap(); // zero tolerance
         let offline = replay(&i, &WdeqRule).unwrap();
         assert_eq!(online.schedule.completions, offline.completions);
@@ -205,7 +158,7 @@ mod tests {
             .task(1.0, 0.01, 1.0)
             .build()
             .unwrap();
-        let r = simulate(&i, &mut DeqPolicy).unwrap();
+        let r = simulate(&i, &DeqRule).unwrap();
         assert!((r.schedule.completions[0] - r.schedule.completions[1]).abs() < 1e-9);
     }
 
@@ -218,8 +171,8 @@ mod tests {
             .task(9.0, 1.0, 10.0)
             .build()
             .unwrap();
-        let wdeq = simulate(&i, &mut WdeqPolicy).unwrap().cost(&i);
-        let naive = simulate(&i, &mut UncappedSharePolicy).unwrap().cost(&i);
+        let wdeq = simulate(&i, &WdeqRule).unwrap().cost(&i);
+        let naive = simulate(&i, &ShareNoRedistributionRule).unwrap().cost(&i);
         assert!(
             wdeq < naive - 1e-9,
             "redistribution should help: wdeq {wdeq} vs naive {naive}"
@@ -233,7 +186,7 @@ mod tests {
             .task(1.0, 5.0, 1.0)
             .build()
             .unwrap();
-        let r = simulate(&i, &mut PriorityPolicy).unwrap();
+        let r = simulate(&i, &PriorityRule).unwrap();
         assert!((r.schedule.completions[1] - 1.0).abs() < 1e-9);
         assert!((r.schedule.completions[0] - 2.0).abs() < 1e-9);
     }

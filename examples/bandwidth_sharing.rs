@@ -10,9 +10,9 @@
 //! cargo run --example bandwidth_sharing
 //! ```
 
+use malleable::core::policy::rules::{PriorityRule, ShareNoRedistributionRule};
 use malleable::prelude::*;
 use malleable::sim::bandwidth::{BandwidthScenario, Worker};
-use malleable::sim::policies::{DeqPolicy, PriorityPolicy, UncappedSharePolicy, WdeqPolicy};
 
 fn main() {
     // A 1 Gbit/s server feeding five workers. Each worker: code size (MB),
@@ -60,21 +60,19 @@ fn main() {
         horizon * scenario.total_rate()
     );
 
-    let mut policies: Vec<Box<dyn OnlinePolicy>> = vec![
-        Box::new(WdeqPolicy),
-        Box::new(DeqPolicy),
-        Box::new(UncappedSharePolicy),
-        Box::new(PriorityPolicy),
+    let rules: [&dyn AllocationRule<f64>; 4] = [
+        &WdeqRule,
+        &DeqRule,
+        &ShareNoRedistributionRule,
+        &PriorityRule,
     ];
     println!(
         "{:<28} {:>12} {:>16}",
         "transfer policy", "Σ wᵢCᵢ", "tasks done by T"
     );
     let mut best: Option<(String, f64)> = None;
-    for p in policies.iter_mut() {
-        let rep = scenario
-            .run_policy(p.as_mut(), horizon)
-            .expect("policy run");
+    for rule in rules {
+        let rep = scenario.run_policy(rule, horizon).expect("policy run");
         println!(
             "{:<28} {:>12.3} {:>16.3}",
             rep.policy, rep.weighted_completion, rep.throughput

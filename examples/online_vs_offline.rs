@@ -9,8 +9,8 @@
 //! cargo run --example online_vs_offline
 //! ```
 
+use malleable::core::policy::rules::{PriorityRule, ShareNoRedistributionRule};
 use malleable::prelude::*;
-use malleable::sim::policies::{DeqPolicy, PriorityPolicy, UncappedSharePolicy, WdeqPolicy};
 
 fn main() {
     let specs = [
@@ -36,15 +36,15 @@ fn main() {
 
         // Non-clairvoyant policies through the honest engine.
         let mut rows: Vec<(String, f64)> = Vec::new();
-        let mut policies: Vec<Box<dyn OnlinePolicy>> = vec![
-            Box::new(WdeqPolicy),
-            Box::new(DeqPolicy),
-            Box::new(UncappedSharePolicy),
-            Box::new(PriorityPolicy),
+        let rules: [&dyn AllocationRule<f64>; 4] = [
+            &WdeqRule,
+            &DeqRule,
+            &ShareNoRedistributionRule,
+            &PriorityRule,
         ];
-        for p in policies.iter_mut() {
-            let name = p.name().to_string();
-            let r = simulate(&instance, p.as_mut()).expect("policy run");
+        for rule in rules {
+            let name = rule.name().to_string();
+            let r = simulate(&instance, rule).expect("policy run");
             r.schedule.validate(&instance).expect("engine output valid");
             rows.push((name, r.cost(&instance)));
         }

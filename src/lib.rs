@@ -103,6 +103,7 @@ pub mod prelude {
     pub use malleable_core::algos::wdeq::{wdeq_certificate, wdeq_schedule};
     pub use malleable_core::bounds::{height_bound, squashed_area_bound};
     pub use malleable_core::instance::{Instance, Task, TaskId};
+    pub use malleable_core::policy::rules::{AllocationRule, DeqRule, WdeqRule};
     pub use malleable_core::policy::{self, PolicyRun, SchedulingPolicy};
     pub use malleable_core::schedule::column::ColumnSchedule;
     pub use malleable_core::schedule::convert::{column_to_step, step_to_column};
@@ -111,8 +112,7 @@ pub mod prelude {
     pub use malleable_opt::brute::optimal_schedule;
     pub use malleable_opt::localsearch::smith_plus_local_search;
     pub use malleable_opt::lp::lp_schedule_for_order;
-    pub use malleable_sim::engine::{simulate, OnlinePolicy};
-    pub use malleable_sim::policies::{DeqPolicy, WdeqPolicy};
+    pub use malleable_sim::engine::simulate;
     pub use malleable_workloads::{generate, Spec};
     pub use numkit::{Scalar, Tolerance};
 }

@@ -1,9 +1,9 @@
 //! The Figure-1 reduction as an integration test: throughput maximization
 //! and weighted-completion minimization are the same problem.
 
+use malleable::core::policy::rules::{PriorityRule, ShareNoRedistributionRule};
 use malleable::prelude::*;
 use malleable::sim::bandwidth::{BandwidthScenario, Worker};
-use malleable::sim::policies::{DeqPolicy, PriorityPolicy, UncappedSharePolicy, WdeqPolicy};
 use malleable::workloads::seed_batch;
 
 fn fleet(seed: u64, n: usize) -> BandwidthScenario {
@@ -35,14 +35,14 @@ fn throughput_identity_holds_for_every_policy() {
         let inst = sc.to_instance();
         let horizon = optimal_makespan(&inst) * 20.0;
         let total = sc.total_rate();
-        let mut policies: Vec<Box<dyn OnlinePolicy>> = vec![
-            Box::new(WdeqPolicy),
-            Box::new(DeqPolicy),
-            Box::new(UncappedSharePolicy),
-            Box::new(PriorityPolicy),
+        let rules: [&dyn AllocationRule<f64>; 4] = [
+            &WdeqRule,
+            &DeqRule,
+            &ShareNoRedistributionRule,
+            &PriorityRule,
         ];
-        for p in policies.iter_mut() {
-            let rep = sc.run_policy(p.as_mut(), horizon).expect("run");
+        for rule in rules {
+            let rep = sc.run_policy(rule, horizon).expect("run");
             let identity = horizon * total - rep.weighted_completion;
             assert!(
                 (rep.throughput - identity).abs() <= 1e-6 * (1.0 + identity.abs()),
@@ -60,14 +60,14 @@ fn policy_rankings_by_cost_and_throughput_are_mirrored() {
         let inst = sc.to_instance();
         let horizon = optimal_makespan(&inst) * 20.0;
         let mut results: Vec<(f64, f64)> = Vec::new();
-        let mut policies: Vec<Box<dyn OnlinePolicy>> = vec![
-            Box::new(WdeqPolicy),
-            Box::new(DeqPolicy),
-            Box::new(UncappedSharePolicy),
-            Box::new(PriorityPolicy),
+        let rules: [&dyn AllocationRule<f64>; 4] = [
+            &WdeqRule,
+            &DeqRule,
+            &ShareNoRedistributionRule,
+            &PriorityRule,
         ];
-        for p in policies.iter_mut() {
-            let rep = sc.run_policy(p.as_mut(), horizon).expect("run");
+        for rule in rules {
+            let rep = sc.run_policy(rule, horizon).expect("run");
             results.push((rep.weighted_completion, rep.throughput));
         }
         // Sort by cost ascending ⇒ throughput must be descending.
@@ -89,8 +89,7 @@ fn clairvoyant_optimum_dominates_online_policies() {
         let horizon = optimal_makespan(&inst) * 10.0;
         let opt = optimal_schedule(&inst).expect("brute");
         let opt_rep = sc.report("opt", &opt.schedule, &inst, horizon);
-        let mut p = WdeqPolicy;
-        let online = sc.run_policy(&mut p, horizon).expect("run");
+        let online = sc.run_policy(&WdeqRule, horizon).expect("run");
         assert!(online.throughput <= opt_rep.throughput + 1e-6);
         // …and WDEQ is within its factor-2 guarantee on the cost side.
         assert!(online.weighted_completion <= 2.0 * opt_rep.weighted_completion + 1e-6);
@@ -100,7 +99,6 @@ fn clairvoyant_optimum_dominates_online_policies() {
 #[test]
 fn horizon_before_any_completion_gives_zero_throughput() {
     let sc = fleet(3, 6);
-    let mut p = WdeqPolicy;
-    let rep = sc.run_policy(&mut p, 0.0).expect("run");
+    let rep = sc.run_policy(&WdeqRule, 0.0).expect("run");
     assert_eq!(rep.throughput, 0.0);
 }

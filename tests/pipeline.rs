@@ -9,7 +9,6 @@ use malleable::core::schedule::convert::{
     assign_processors_stable, column_to_gantt, step_to_column,
 };
 use malleable::prelude::*;
-use malleable::sim::policies::WdeqPolicy;
 use malleable::workloads::seed_batch;
 
 #[test]
@@ -29,8 +28,7 @@ fn online_engine_matches_clairvoyant_replay_across_workloads() {
     ] {
         for seed in seed_batch(1, 5) {
             let inst = generate(&spec, seed);
-            let mut policy = WdeqPolicy;
-            let online = simulate(&inst, &mut policy).expect("engine run");
+            let online = simulate(&inst, &WdeqRule).expect("engine run");
             let offline = wdeq_schedule(&inst);
             for (a, b) in online
                 .schedule

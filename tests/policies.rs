@@ -145,3 +145,44 @@ fn lower_bound_helper_agrees_with_parts() {
         squashed_area_bound(&inst).max(height_bound(&inst))
     );
 }
+
+#[test]
+fn rule_replays_honour_release_times() {
+    // The registry's rule replays share the online engine's event loop:
+    // a task is never allocated before its arrival, and an idle gap
+    // before a late arrival is an empty column.
+    let late = Instance::builder(2.0)
+        .task(2.0, 1.0, 1.0)
+        .task(1.0, 1.0, 2.0)
+        .task(1.0, 3.0, 2.0)
+        .arrivals(vec![0.0, 1.0, 5.0])
+        .build()
+        .unwrap();
+    let mut instances = vec![late];
+    for spec in [
+        Spec::PoissonArrivals { n: 30, rate: 2.0 },
+        Spec::ArrivalWaves {
+            n: 30,
+            waves: 3,
+            gap: 2.0,
+        },
+    ] {
+        for seed in seed_batch(0x7e1, 3) {
+            instances.push(generate(&spec, seed));
+        }
+    }
+    for inst in &instances {
+        for name in ["deq", "priority", "share-no-redistribution"] {
+            let schedule = policy::by_name::<f64>(name)
+                .unwrap()
+                .schedule(inst)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            schedule
+                .validate(inst)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            for (i, t) in schedule.completions.iter().enumerate() {
+                assert!(*t > inst.arrival(TaskId(i)), "{name}: T{i} done at {t}");
+            }
+        }
+    }
+}

@@ -89,8 +89,8 @@ fn answers<S: Scalar>(n: usize, seeds: &[u64]) -> Vec<Answer<S>> {
             };
             if spec.is_streaming() {
                 for &name in ONLINE_POLICY_NAMES {
-                    let mut policy = online::by_name::<S>(name).expect("registered");
-                    let run = simulate(&instance, policy.as_mut())
+                    let rule = online::by_name::<S>(name).expect("registered");
+                    let run = simulate(&instance, rule.as_ref())
                         .unwrap_or_else(|e| panic!("{name} on {}/{seed}: {e}", spec.label()));
                     push(name, run.schedule);
                 }
