@@ -39,7 +39,8 @@
 //! A file with `arrive` markers runs under the online engine, exactly as
 //! the daemon runs a streaming tenant ([`malleable_bench::serve::solve`]
 //! routes both), so only the online rules (`wdeq`, `deq`,
-//! `share-no-redistribution`, `priority`) accept it.
+//! `share-no-redistribution`, `priority`) accept it. `--normalize` is
+//! refused on such a file (exit 1): water-filling ignores release times.
 //!
 //! Malformed flags and instance files are *input* errors: they print a
 //! pointed `error: …` line and exit with status 2 (scheduling failures
@@ -727,6 +728,14 @@ fn batch_main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // Water-filling is the offline normal form: it would start tasks
+    // before their release times.
+    if args.normalize && instance.has_arrivals() {
+        eprintln!(
+            "error: --normalize ignores release times; drop it for an instance with arrivals"
+        );
+        return ExitCode::FAILURE;
+    }
     println!("{instance}");
 
     let trace_session = args

@@ -29,7 +29,7 @@ use crate::parallel::ShardPool;
 use crate::serve::protocol::{error_response, json_num, ok_response, parse_request, Request};
 use crossbeam::channel::Sender;
 use malleable_core::bounds::arrival_aware_lower_bound;
-use malleable_core::instance::Instance;
+use malleable_core::instance::{Instance, Task};
 use malleable_core::policy::{self, PolicyRun};
 use malleable_opt::brute::optimal_schedule;
 use malleable_sim::policies::ONLINE_POLICY_NAMES;
@@ -139,27 +139,14 @@ const SOLVES: usize = 2;
 const PROTOCOL_ERRORS: usize = 3;
 const SOLVE_ERRORS: usize = 4;
 
-/// One tenant's accumulated state on its shard.
-#[derive(Debug, Default)]
+/// One tenant's state on its shard: the validated instance its submits
+/// have grown (one [`Instance::push`] each) and its solve counters. A
+/// tenant exists only once its first task is accepted.
+#[derive(Debug)]
 struct Tenant {
-    p: f64,
-    tasks: Vec<(f64, f64, f64)>,
-    arrivals: Vec<f64>,
+    instance: Instance,
     solves: u64,
     last_cost: Option<f64>,
-}
-
-impl Tenant {
-    fn instance(&self) -> Result<Instance, String> {
-        let mut b = Instance::builder(self.p);
-        for &(v, w, d) in &self.tasks {
-            b = b.task(v, w, d);
-        }
-        if self.arrivals.iter().any(|&r| r > 0.0) {
-            b = b.arrivals(self.arrivals.clone());
-        }
-        b.build().map_err(|e| e.to_string())
-    }
 }
 
 /// A request routed to a shard worker, with its reply channel. The
@@ -226,45 +213,51 @@ fn handle_tenant_request(
             delta,
             arrival,
         } => {
-            let entry = tenants.entry(tenant.clone()).or_default();
-            if entry.tasks.is_empty() {
-                match p {
-                    Some(cap) => entry.p = *cap,
-                    None => {
-                        counters.bump(SOLVE_ERRORS);
-                        return error_response(&format!(
-                            "tenant {tenant:?} has no capacity yet: the first submit \
-                             must carry \"p\""
-                        ));
-                    }
-                }
-            } else if let Some(cap) = p {
-                if *cap != entry.p {
-                    counters.bump(SOLVE_ERRORS);
-                    return error_response(&format!(
+            let reject = |msg: String| {
+                counters.bump(SOLVE_ERRORS);
+                error_response(&msg)
+            };
+            // A new tenant's capacity is pinned by its first submit, and
+            // the tenant is inserted only once that task is accepted.
+            let mut fresh = None;
+            let instance = match (tenants.get_mut(tenant), p) {
+                (Some(entry), Some(cap)) if *cap != entry.instance.p => {
+                    return reject(format!(
                         "tenant {tenant:?} already has p = {}, cannot change it to {cap}",
-                        entry.p
+                        entry.instance.p
                     ));
                 }
+                (Some(entry), _) => &mut entry.instance,
+                (None, None) => {
+                    return reject(format!(
+                        "tenant {tenant:?} has no capacity yet: the first submit \
+                         must carry \"p\""
+                    ));
+                }
+                (None, Some(cap)) => match Instance::builder(*cap).build() {
+                    Ok(empty) => fresh.insert(empty),
+                    Err(e) => return reject(format!("rejected task for tenant {tenant:?}: {e}")),
+                },
+            };
+            let task = Task::new(*volume, *weight, delta.unwrap_or(instance.p));
+            if let Err(e) = instance.push(task, *arrival) {
+                return reject(format!("rejected task for tenant {tenant:?}: {e}"));
             }
-            entry
-                .tasks
-                .push((*volume, *weight, delta.unwrap_or(entry.p)));
-            entry.arrivals.push(*arrival);
-            // Validate eagerly: a bad task is rejected and rolled back,
-            // leaving the tenant exactly as before.
-            if let Err(e) = entry.instance() {
-                entry.tasks.pop();
-                entry.arrivals.pop();
-                counters.bump(SOLVE_ERRORS);
-                return error_response(&format!("rejected task for tenant {tenant:?}: {e}"));
+            let n = instance.n();
+            if let Some(instance) = fresh {
+                let entry = Tenant {
+                    instance,
+                    solves: 0,
+                    last_cost: None,
+                };
+                tenants.insert(tenant.clone(), entry);
             }
             counters.bump(SUBMITS);
             ok_response(
                 "submit",
                 &[
                     format!("\"tenant\":{}", json_string(tenant)),
-                    format!("\"tasks\":{}", entry.tasks.len()),
+                    format!("\"tasks\":{n}"),
                 ],
             )
         }
@@ -275,28 +268,22 @@ fn handle_tenant_request(
             };
             let mut sp =
                 malleable_trace::span_labeled("serve.solve", || format!("{tenant}/{policy}"));
-            let instance = match entry.instance() {
-                Ok(i) => i,
-                Err(e) => {
-                    counters.bump(SOLVE_ERRORS);
-                    return error_response(&format!("tenant {tenant:?} instance invalid: {e}"));
-                }
-            };
-            let (PolicyRun { schedule, .. }, mode) = match solve(&instance, policy) {
+            let instance = &entry.instance;
+            let (PolicyRun { schedule, .. }, mode) = match solve(instance, policy) {
                 Ok(x) => x,
                 Err(e) => {
                     counters.bump(SOLVE_ERRORS);
                     return error_response(&e);
                 }
             };
-            if let Err(e) = schedule.validate(&instance) {
+            if let Err(e) = schedule.validate(instance) {
                 counters.bump(SOLVE_ERRORS);
                 return error_response(&format!(
                     "policy {policy:?} produced an invalid schedule: {e}"
                 ));
             }
-            let cost = schedule.weighted_completion_cost(&instance);
-            let bound = arrival_aware_lower_bound(&instance);
+            let cost = schedule.weighted_completion_cost(instance);
+            let bound = arrival_aware_lower_bound(instance);
             let ratio = if bound > 0.0 { cost / bound } else { 1.0 };
             entry.solves += 1;
             entry.last_cost = Some(cost);
@@ -328,7 +315,7 @@ fn handle_tenant_request(
                 "metrics",
                 &[
                     format!("\"tenant\":{}", json_string(tenant)),
-                    format!("\"tasks\":{}", entry.tasks.len()),
+                    format!("\"tasks\":{}", entry.instance.n()),
                     format!("\"solves\":{}", entry.solves),
                     format!(
                         "\"last_cost\":{}",
@@ -364,6 +351,7 @@ fn handle_connection(
     trace_path: Arc<Option<String>>,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
@@ -380,7 +368,7 @@ fn handle_connection(
                     continue;
                 }
                 counters.bump(REQUESTS);
-                let response = match parse_request(text) {
+                let mut response = match parse_request(text) {
                     Err(msg) => {
                         counters.bump(PROTOCOL_ERRORS);
                         error_response(&msg)
@@ -425,12 +413,10 @@ fn handle_connection(
                         }
                     }
                 };
-                if writer
-                    .write_all(response.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                // One write per answer: under `nodelay` every write is
+                // a segment of its own.
+                response.push('\n');
+                if writer.write_all(response.as_bytes()).is_err() {
                     break;
                 }
             }
@@ -565,6 +551,9 @@ impl Client {
     pub fn connect(addr: &str) -> Result<Client, String> {
         let stream =
             TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("cannot set TCP_NODELAY: {e}"))?;
         let reader = BufReader::new(
             stream
                 .try_clone()
@@ -581,10 +570,11 @@ impl Client {
     /// # Errors
     /// I/O failures and early EOF (daemon gone).
     pub fn request_raw(&mut self, line: &str) -> Result<String, String> {
+        let mut msg = String::with_capacity(line.len() + 1);
+        msg.push_str(line);
+        msg.push('\n');
         self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
+            .write_all(msg.as_bytes())
             .map_err(|e| format!("cannot send request: {e}"))?;
         let mut resp = String::new();
         match self.reader.read_line(&mut resp) {
@@ -728,6 +718,14 @@ mod tests {
         assert!(ok(&c.request(r#"{"op":"ping"}"#)));
         // First submit without p is rejected; the tenant stays unknown.
         assert!(!ok(&c.request(r#"{"op":"submit","tenant":"t","volume":1}"#)));
+        for probe in [
+            r#"{"op":"metrics","tenant":"t"}"#,
+            r#"{"op":"schedule","tenant":"t"}"#,
+        ] {
+            let unknown = c.request(probe);
+            let msg = unknown.get("error").and_then(|e| e.as_str()).unwrap_or("");
+            assert!(msg.contains("unknown tenant"), "{probe}: {unknown:?}");
+        }
         // A task violating validation is rolled back.
         assert!(ok(
             &c.request(r#"{"op":"submit","tenant":"t","p":2,"volume":1}"#)
@@ -745,7 +743,177 @@ mod tests {
         drop(c);
         let metrics = daemon.join().unwrap();
         assert_eq!(metrics.protocol_errors, 1);
-        assert!(metrics.solve_errors >= 3);
+        assert!(metrics.solve_errors >= 4);
+    }
+
+    /// Tenant state as the daemon kept it while every submit rebuilt the
+    /// whole instance: the raw task list beside a pinned `p`.
+    #[derive(Default)]
+    struct RebuiltTenant {
+        p: f64,
+        tasks: Vec<(f64, f64, f64)>,
+        arrivals: Vec<f64>,
+    }
+
+    impl RebuiltTenant {
+        /// The per-submit rebuild, verbatim.
+        fn instance(&self) -> Result<Instance, String> {
+            let mut b = Instance::builder(self.p);
+            for &(v, w, d) in &self.tasks {
+                b = b.task(v, w, d);
+            }
+            if self.arrivals.iter().any(|&r| r > 0.0) {
+                b = b.arrivals(self.arrivals.clone());
+            }
+            b.build().map_err(|e| e.to_string())
+        }
+
+        /// The rebuild's acceptance test, with one deliberate change: it
+        /// always checks the arrivals. The rebuild above attached them
+        /// only once one was positive, so it accepted a negative or NaN
+        /// release time on an all-zero tenant, then refused every later
+        /// positive one with an error naming that old task.
+        fn accepts(&self) -> Result<(), String> {
+            let mut b = Instance::builder(self.p);
+            for &(v, w, d) in &self.tasks {
+                b = b.task(v, w, d);
+            }
+            b.arrivals(self.arrivals.clone())
+                .build()
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+        }
+    }
+
+    /// The submit handler of the rebuilding daemon, push/pop rollback and
+    /// all: the reference every appended answer must match.
+    fn rebuilt_submit(tenants: &mut BTreeMap<String, RebuiltTenant>, req: &Request) -> String {
+        let Request::Submit {
+            tenant,
+            p,
+            volume,
+            weight,
+            delta,
+            arrival,
+        } = req
+        else {
+            unreachable!("submits only")
+        };
+        let entry = tenants.entry(tenant.clone()).or_default();
+        if entry.tasks.is_empty() {
+            match p {
+                Some(cap) => entry.p = *cap,
+                None => {
+                    return error_response(&format!(
+                        "tenant {tenant:?} has no capacity yet: the first submit \
+                         must carry \"p\""
+                    ))
+                }
+            }
+        } else if let Some(cap) = p {
+            if *cap != entry.p {
+                return error_response(&format!(
+                    "tenant {tenant:?} already has p = {}, cannot change it to {cap}",
+                    entry.p
+                ));
+            }
+        }
+        entry
+            .tasks
+            .push((*volume, *weight, delta.unwrap_or(entry.p)));
+        entry.arrivals.push(*arrival);
+        if let Err(e) = entry.accepts() {
+            entry.tasks.pop();
+            entry.arrivals.pop();
+            return error_response(&format!("rejected task for tenant {tenant:?}: {e}"));
+        }
+        ok_response(
+            "submit",
+            &[
+                format!("\"tenant\":{}", json_string(tenant)),
+                format!("\"tasks\":{}", entry.tasks.len()),
+            ],
+        )
+    }
+
+    #[test]
+    fn appended_tenants_equal_the_per_submit_rebuild_and_answer_alike() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        // Tenant `a` stays offline, `b` turns online late, `c` early.
+        let names = ["a", "b", "c"];
+        let caps = [4.0, 2.5, 8.0];
+        let online_pct = [0, 2, 20];
+        let counters = Counters::default();
+        let mut tenants: BTreeMap<String, Tenant> = BTreeMap::new();
+        let mut reference: BTreeMap<String, RebuiltTenant> = BTreeMap::new();
+        let mut accepted = 0;
+        for step in 0..500 {
+            let k = rng.random_range(0..names.len());
+            let p = match rng.random_range(0..20u32) {
+                0..=7 => None,
+                8..=16 => Some(caps[k]),
+                17 => Some(2.0 * caps[k]),
+                18 => Some(0.0),
+                _ => Some(f64::NAN),
+            };
+            let volume = match rng.random_range(0..20u32) {
+                0 => f64::NAN,
+                1 => -1.0,
+                2 => 0.0,
+                _ => rng.random_range(0.5..10.0),
+            };
+            let weight = match rng.random_range(0..20u32) {
+                0 => -0.5,
+                1 => 0.0,
+                _ => rng.random_range(1.0..5.0),
+            };
+            let delta = match rng.random_range(0..20u32) {
+                0 => Some(0.0),
+                1..=9 => None,
+                _ => Some(rng.random_range(0.5..6.0)),
+            };
+            let arrival = match rng.random_range(0..100u32) {
+                0 | 1 => f64::NAN,
+                2 | 3 => -1.0,
+                4 => -0.0,
+                r if r < 5 + online_pct[k] => rng.random_range(0.1..20.0),
+                _ => 0.0,
+            };
+            let req = Request::Submit {
+                tenant: names[k].to_string(),
+                p,
+                volume,
+                weight,
+                delta,
+                arrival,
+            };
+            let got = handle_tenant_request(&mut tenants, &req, &counters);
+            let want = rebuilt_submit(&mut reference, &req);
+            assert_eq!(got, want, "step {step}: {req:?}");
+            accepted += usize::from(got.starts_with("{\"ok\":true"));
+            for (name, old) in &reference {
+                match tenants.get(name) {
+                    Some(t) => assert_eq!(
+                        Ok(&t.instance),
+                        old.instance().as_ref(),
+                        "step {step}: tenant {name}"
+                    ),
+                    None => assert!(old.tasks.is_empty(), "step {step}: tenant {name} lost"),
+                }
+            }
+            assert!(tenants.keys().all(|name| reference.contains_key(name)));
+        }
+        // The mix exercised both verdicts and both arrival regimes.
+        assert!((100..450).contains(&accepted), "{accepted} of 500 accepted");
+        assert_eq!(tenants["a"].instance.arrivals, None);
+        assert!(tenants["c"].instance.has_arrivals());
+        assert_eq!(
+            counters.snapshot().submits + counters.snapshot().solve_errors,
+            500
+        );
     }
 
     #[test]

@@ -236,6 +236,13 @@ fn release_times_route_batch_mode_to_the_online_engine() {
             "{policy}: {stdout}"
         );
     }
+    // Normalizing through the offline water-filling would run T1 before
+    // it arrives, so it is refused.
+    let out = msched(&[&file, "--policy", "wdeq", "--normalize", "--gantt"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--normalize ignores release times"), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
     // A clairvoyant policy cannot run against streaming arrivals.
     let out = msched(&[&file, "--policy", "greedy-smith"]);
     assert_eq!(out.status.code(), Some(1));

@@ -132,6 +132,37 @@ fn client_disconnect_during_a_solve_does_not_poison_the_shard() {
 }
 
 #[test]
+fn closed_loop_submits_are_not_stalled() {
+    // Each request waits for its answer before the next is sent. A split
+    // write without TCP_NODELAY stalls every round trip on Nagle and
+    // delayed ACKs (~90 ms each, ~18 s for this loop); a per-submit
+    // rebuild makes the loop quadratic. The bound is loose on purpose.
+    let daemon = Daemon::spawn(&[]);
+    let mut c = daemon.client();
+    let start = std::time::Instant::now();
+    for i in 0..200 {
+        let first = if i == 0 { ",\"p\":8" } else { "" };
+        let line = format!(
+            "{{\"op\":\"submit\",\"tenant\":\"loop\",\"volume\":{}{first}}}",
+            i % 7 + 1
+        );
+        assert!(is_ok(&c.request(&line).unwrap()), "{line}");
+    }
+    let resp = c
+        .request("{\"op\":\"schedule\",\"tenant\":\"loop\",\"policy\":\"wdeq\"}")
+        .expect("schedule answers");
+    let elapsed = start.elapsed();
+    assert!(is_ok(&resp), "{resp:?}");
+    assert_eq!(resp.get("n").and_then(Json::as_f64), Some(200.0));
+    assert!(
+        elapsed < std::time::Duration::from_secs(2),
+        "200 closed-loop submits and a schedule took {elapsed:?}"
+    );
+    drop(c);
+    daemon.shutdown();
+}
+
+#[test]
 fn shutdown_is_idempotent_on_one_connection_and_exits_cleanly() {
     let daemon = Daemon::spawn(&[]);
     let mut c = daemon.client();

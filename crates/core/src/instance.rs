@@ -271,15 +271,7 @@ impl<S: Scalar> Instance<S> {
             }
         }
         for (i, t) in self.tasks.iter().enumerate() {
-            if !(t.volume.is_finite() && t.volume.is_positive()) {
-                return fail(format!("task {i}: volume must be > 0, got {:?}", t.volume));
-            }
-            if !(t.delta.is_finite() && t.delta.is_positive()) {
-                return fail(format!("task {i}: δ must be > 0, got {:?}", t.delta));
-            }
-            if !t.weight.is_finite() || t.weight.is_negative() {
-                return fail(format!("task {i}: weight must be ≥ 0, got {:?}", t.weight));
-            }
+            check_task(i, t)?;
         }
         if let Some(arrivals) = &self.arrivals {
             if arrivals.len() != self.n() {
@@ -290,12 +282,47 @@ impl<S: Scalar> Instance<S> {
                 });
             }
             for (i, r) in arrivals.iter().enumerate() {
-                if !r.is_finite() || r.is_negative() {
-                    return fail(format!("task {i}: arrival must be ≥ 0, got {:?}", r));
-                }
+                check_arrival(i, r)?;
             }
         }
         Ok(())
+    }
+
+    /// Append one task released at `arrival`, checking only the new task
+    /// — O(1) amortized, where rebuilding through the builder re-checks
+    /// all `n`. On a valid instance the result is `==` to what
+    /// [`Instance::builder`] builds from the longer task list: `arrivals`
+    /// stays `None` until the first positive release time, which fills in
+    /// zeros for the earlier tasks. Streaming front ends (the `msched
+    /// serve` daemon) grow their instances this way.
+    ///
+    /// # Errors
+    /// The message [`Instance::validate`] gives for the same task at index
+    /// `n`, or [`ScheduleError::InvalidInstance`] on a restricted-assignment
+    /// model (a task there needs an eligibility set). The instance is left
+    /// unchanged on error.
+    pub fn push(&mut self, task: Task<S>, arrival: S) -> Result<TaskId, ScheduleError> {
+        if self.machine.restriction().is_some() {
+            return Err(ScheduleError::InvalidInstance {
+                reason: "cannot push a task onto a restricted-assignment instance: \
+                         it needs an eligibility set; rebuild the instance instead"
+                    .into(),
+            });
+        }
+        let id = TaskId(self.n());
+        check_task(id.0, &task)?;
+        check_arrival(id.0, &arrival)?;
+        match &mut self.arrivals {
+            Some(r) => r.push(arrival),
+            None if arrival.is_positive() => {
+                let mut r = vec![S::zero(); id.0];
+                r.push(arrival);
+                self.arrivals = Some(r);
+            }
+            None => {}
+        }
+        self.tasks.push(task);
+        Ok(id)
     }
 
     /// Approximate `f64` image of this instance (for reporting and
@@ -369,6 +396,33 @@ impl<S: Scalar> Instance<S> {
         let half_p = self.p.clone() / S::from_int(2);
         self.tasks.iter().all(|t| t.delta > half_p)
     }
+}
+
+/// The per-task checks of [`Instance::validate`]: positive finite volume
+/// and δ, finite non-negative weight.
+fn check_task<S: Scalar>(i: usize, t: &Task<S>) -> Result<(), ScheduleError> {
+    let fail = |reason: String| Err(ScheduleError::InvalidInstance { reason });
+    if !(t.volume.is_finite() && t.volume.is_positive()) {
+        return fail(format!("task {i}: volume must be > 0, got {:?}", t.volume));
+    }
+    if !(t.delta.is_finite() && t.delta.is_positive()) {
+        return fail(format!("task {i}: δ must be > 0, got {:?}", t.delta));
+    }
+    if !t.weight.is_finite() || t.weight.is_negative() {
+        return fail(format!("task {i}: weight must be ≥ 0, got {:?}", t.weight));
+    }
+    Ok(())
+}
+
+/// The per-task arrival check of [`Instance::validate`]: finite and
+/// non-negative.
+fn check_arrival<S: Scalar>(i: usize, r: &S) -> Result<(), ScheduleError> {
+    if !r.is_finite() || r.is_negative() {
+        return Err(ScheduleError::InvalidInstance {
+            reason: format!("task {i}: arrival must be ≥ 0, got {:?}", r),
+        });
+    }
+    Ok(())
 }
 
 impl<S: Scalar> fmt::Display for Instance<S> {
@@ -734,6 +788,80 @@ mod tests {
         assert_eq!(sub.n(), 2);
         assert_eq!(sub.arrival(TaskId(1)), 5.0);
         assert!(timed.to_string().contains("r = 2.0000"));
+    }
+
+    #[test]
+    fn push_builds_what_the_builder_builds() {
+        let tasks = [
+            (8.0, 1.0, 2.0),
+            (4.0, 2.0, 4.0),
+            (2.0, 4.0, 1.0),
+            (3.0, 0.0, 3.0),
+        ];
+        let arrivals = [0.0, 0.0, 1.5, 0.0];
+        let mut pushed = Instance::builder(4.0).build().unwrap();
+        for (k, (&(v, w, d), &r)) in tasks.iter().zip(&arrivals).enumerate() {
+            assert_eq!(pushed.push(Task::new(v, w, d), r).unwrap(), TaskId(k));
+            let mut b = Instance::builder(4.0).tasks(tasks[..=k].iter().copied());
+            if arrivals[..=k].iter().any(|&r| r > 0.0) {
+                b = b.arrivals(arrivals[..=k].to_vec());
+            }
+            assert_eq!(pushed, b.build().unwrap(), "after {} pushes", k + 1);
+        }
+        // Zeros stay offline: no arrivals vector until a positive one.
+        assert_eq!(pushed.arrivals.as_ref().map(Vec::len), Some(4));
+        let mut offline = Instance::builder(4.0).build().unwrap();
+        offline.push(Task::new(1.0, 1.0, 1.0), 0.0).unwrap();
+        assert_eq!(offline.arrivals, None);
+        // Related machines push like identical ones.
+        let mut related = Instance::builder(0.0)
+            .speeds(vec![2.0, 1.0])
+            .build()
+            .unwrap();
+        related.push(Task::new(1.0, 1.0, 2.0), 0.5).unwrap();
+        let built = Instance::builder(0.0)
+            .task(1.0, 1.0, 2.0)
+            .speeds(vec![2.0, 1.0])
+            .arrivals(vec![0.5])
+            .build()
+            .unwrap();
+        assert_eq!(related, built);
+    }
+
+    #[test]
+    fn push_errors_match_validate_and_leave_the_instance_unchanged() {
+        let base = demo().with_arrivals(vec![0.0, 2.0, 0.0]).unwrap();
+        for (task, r) in [
+            (Task::new(0.0, 1.0, 1.0), 0.0),
+            (Task::new(f64::NAN, 1.0, 1.0), f64::NAN),
+            (Task::new(1.0, 1.0, 0.0), 0.0),
+            (Task::new(1.0, -1.0, 1.0), 0.0),
+            (Task::new(1.0, 1.0, 1.0), -1.0),
+            (Task::new(1.0, 1.0, 1.0), f64::INFINITY),
+        ] {
+            let mut pushed = base.clone();
+            let err = pushed.push(task.clone(), r).unwrap_err();
+            let mut rebuilt = base.clone();
+            rebuilt.tasks.push(task);
+            rebuilt.arrivals.as_mut().unwrap().push(r);
+            let expect = rebuilt.validate().unwrap_err();
+            assert_eq!(err.to_string(), expect.to_string());
+            assert!(err.to_string().contains("task 3:"), "{err}");
+            assert_eq!(pushed, base);
+        }
+        // A restricted-assignment task needs an eligibility set.
+        let mut restricted = Instance::builder(0.0)
+            .task(1.0, 1.0, 1.0)
+            .restricted(2, vec![vec![0, 1]])
+            .build()
+            .unwrap();
+        let before = restricted.clone();
+        let err = restricted.push(Task::new(1.0, 1.0, 1.0), 0.0).unwrap_err();
+        assert!(
+            matches!(err, ScheduleError::InvalidInstance { .. }),
+            "{err}"
+        );
+        assert_eq!(restricted, before);
     }
 
     #[test]
