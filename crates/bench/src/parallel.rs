@@ -5,9 +5,7 @@
 //! on `crossbeam` channels (work distribution) and a `parking_lot` mutex
 //! (result collection) — the two concurrency crates this workspace allows.
 
-use crossbeam::channel::Sender;
 use parking_lot::Mutex;
-use std::thread::JoinHandle;
 
 /// Map `f` over `inputs` using all available cores, preserving input order
 /// in the output.
@@ -54,7 +52,7 @@ where
 }
 
 /// FNV-1a hash of a routing key. Deterministic across runs and platforms,
-/// so a tenant always lands on the same shard for a given pool size.
+/// so a tenant always lands on the same shard for a given shard count.
 pub fn key_hash(key: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in key.bytes() {
@@ -62,79 +60,6 @@ pub fn key_hash(key: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// A sharded worker pool with keyed routing and drain-on-join semantics.
-///
-/// Unlike [`par_map`] — which fans a finite batch over anonymous workers —
-/// a `ShardPool` keeps *stateful* workers alive indefinitely: each shard
-/// owns whatever state its closure captures (the serve daemon keeps a
-/// tenant map per shard), and requests for the same key always reach the
-/// same shard, so per-key state needs no locking at all.
-///
-/// Shutdown is cooperative: [`ShardPool::join`] drops the senders, each
-/// worker drains every request already queued on its channel, and `recv`
-/// then errors out, ending the worker loop. In-flight work is therefore
-/// always completed, never abandoned.
-pub struct ShardPool<Req: Send + 'static> {
-    txs: Vec<Sender<Req>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl<Req: Send + 'static> ShardPool<Req> {
-    /// Spawn `shards` workers (at least one). `mk_worker` is called once
-    /// per shard with the shard index and returns the closure that will
-    /// handle every request routed to that shard, in submission order.
-    pub fn new<M>(shards: usize, mut mk_worker: M) -> Self
-    where
-        M: FnMut(usize) -> Box<dyn FnMut(Req) + Send>,
-    {
-        let shards = shards.max(1);
-        let mut txs = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = crossbeam::channel::unbounded::<Req>();
-            let mut handle = mk_worker(shard);
-            workers.push(std::thread::spawn(move || {
-                while let Ok(req) = rx.recv() {
-                    handle(req);
-                }
-            }));
-            txs.push(tx);
-        }
-        ShardPool { txs, workers }
-    }
-
-    /// Number of shards in the pool.
-    pub fn shards(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// The shard a routing key maps to.
-    pub fn shard_of(&self, key: &str) -> usize {
-        (key_hash(key) % self.txs.len() as u64) as usize
-    }
-
-    /// Enqueue a request on `shard`. Returns `false` if the worker has
-    /// already exited (it panicked and dropped its receiver).
-    pub fn send(&self, shard: usize, req: Req) -> bool {
-        self.txs[shard].send(req).is_ok()
-    }
-
-    /// Route by key and enqueue. See [`ShardPool::send`].
-    pub fn route(&self, key: &str, req: Req) -> bool {
-        self.send(self.shard_of(key), req)
-    }
-
-    /// Drain and stop: drops all senders, then joins every worker. Each
-    /// worker finishes all requests queued before the call. Panics
-    /// propagate from worker threads.
-    pub fn join(mut self) {
-        self.txs.clear();
-        for w in self.workers.drain(..) {
-            w.join().expect("shard worker panicked");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -159,42 +84,6 @@ mod tests {
     #[test]
     fn single_item() {
         assert_eq!(par_map(vec![41u64], |x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn shard_pool_routes_stably_and_drains_on_join() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
-        let per_shard: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
-        let counts = per_shard.clone();
-        let pool: ShardPool<u64> = ShardPool::new(4, move |shard| {
-            let counts = counts.clone();
-            Box::new(move |v: u64| {
-                counts[shard].fetch_add(v, Ordering::SeqCst);
-            })
-        });
-        assert_eq!(pool.shards(), 4);
-        // Stable routing: the same key maps to the same shard every time.
-        assert_eq!(pool.shard_of("tenant-a"), pool.shard_of("tenant-a"));
-        // Everything queued before join() is processed (drain semantics).
-        for i in 0..100 {
-            assert!(pool.route("tenant-a", i));
-        }
-        let shard = pool.shard_of("tenant-a");
-        pool.join();
-        assert_eq!(
-            per_shard[shard].load(Ordering::SeqCst),
-            (0..100).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn shard_pool_clamps_zero_shards_to_one() {
-        let pool: ShardPool<()> = ShardPool::new(0, |_| Box::new(|()| {}));
-        assert_eq!(pool.shards(), 1);
-        assert!(pool.route("anything", ()));
-        pool.join();
     }
 
     #[test]

@@ -11,23 +11,27 @@
 //! policies under `malleable_sim`'s event-driven replay core against
 //! their streaming arrivals.
 //!
-//! Tenants are sharded over a [`crate::parallel::ShardPool`]: a tenant
-//! key always routes to the same stateful worker, so tenant state is
-//! single-threaded by construction and solves for different tenants
-//! proceed in parallel. Shutdown is graceful by the pool's drain
-//! semantics — queued solves finish before workers exit — and, when the
+//! Each connection has one thread, which answers its requests in order.
+//! Tenants are sharded by lock: a tenant name hashes
+//! ([`crate::parallel::key_hash`]) to one of a fixed set of
+//! `Mutex<BTreeMap<String, Tenant>>`, held only while the connection
+//! thread handles the request, never across a socket read or write, so
+//! tenants on different shards are handled in parallel. A shard's
+//! waiters queue on a `std` mutex, which is not FIFO: connections
+//! contending for one shard are not served strictly in arrival order. A
+//! panic in a handler is caught under the lock and answered as an
+//! `internal` error, so the lock never poisons. Shutdown is graceful —
+//! open connections finish their in-flight request — and, when the
 //! daemon was started with a trace path, the session flushes a validated
 //! Chrome trace on the way out.
 //!
-//! Everything here is `std` networking plus the two vendored concurrency
-//! crates; there is no async runtime, no serde, no HTTP.
+//! Everything here is `std`; there is no async runtime, no serde, no HTTP.
 
 pub mod protocol;
 
 use crate::jsonin::json_string;
-use crate::parallel::ShardPool;
+use crate::parallel::key_hash;
 use crate::serve::protocol::{error_response, json_num, ok_response, parse_request, Request};
-use crossbeam::channel::Sender;
 use malleable_core::bounds::arrival_aware_lower_bound;
 use malleable_core::instance::{Instance, Task};
 use malleable_core::policy::{self, PolicyRun};
@@ -37,8 +41,9 @@ use malleable_trace::MetricSet;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Configuration of one daemon run.
@@ -47,8 +52,8 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7420` (`:0` picks a free port; the
     /// daemon prints the resolved address on stdout).
     pub addr: String,
-    /// Number of tenant shards (stateful worker threads). Clamped to at
-    /// least 1.
+    /// Number of tenant locks; tenants hash onto them by name. Clamped
+    /// to at least 1.
     pub shards: usize,
     /// When set, record the whole run as a Chrome trace and write it
     /// here on graceful shutdown.
@@ -149,12 +154,31 @@ struct Tenant {
     last_cost: Option<f64>,
 }
 
-/// A request routed to a shard worker, with its reply channel. The
-/// worker always answers; if the client has gone away by then, the
-/// reply send is a no-op and the shard moves on unharmed.
-struct ShardReq {
-    req: Request,
-    reply: Sender<String>,
+/// The tenants whose names hash to one shard, behind that shard's lock.
+type Shard = Mutex<BTreeMap<String, Tenant>>;
+
+/// Run `handle` on `shard`'s tenants, holding the lock only for the call.
+/// A panic inside `handle` is caught while the guard is still held, so
+/// the lock never poisons: the panic answers `internal: <message>` and
+/// counts as a solve error. Tenant state stays consistent because a
+/// rejected submit mutates nothing and a solve only borrows the instance.
+fn on_shard(
+    shard: &Shard,
+    counters: &Counters,
+    handle: impl FnOnce(&mut BTreeMap<String, Tenant>) -> String,
+) -> String {
+    let Ok(mut tenants) = shard.lock() else {
+        return error_response("shard worker unavailable");
+    };
+    catch_unwind(AssertUnwindSafe(|| handle(&mut tenants))).unwrap_or_else(|payload| {
+        counters.bump(SOLVE_ERRORS);
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("panic");
+        error_response(&format!("internal: {msg}"))
+    })
 }
 
 /// Solve `instance` with the policy `name` — the routing shared by the
@@ -197,8 +221,8 @@ pub fn solve(instance: &Instance, name: &str) -> Result<(PolicyRun, &'static str
     Ok((run, "batch"))
 }
 
-/// Handle one tenant-keyed request on its shard. Every path returns a
-/// single-line JSON response; errors never poison tenant state.
+/// Handle one tenant-keyed request on its shard's tenant map. Every path
+/// returns a single-line JSON response; errors never poison tenant state.
 fn handle_tenant_request(
     tenants: &mut BTreeMap<String, Tenant>,
     req: &Request,
@@ -341,11 +365,11 @@ fn metrics_response(counters: &Counters, shards: usize) -> String {
 
 /// One client connection: read request lines until EOF, error, or
 /// shutdown; answer each on the same socket. Protocol errors keep the
-/// connection; a vanished client only kills the reply write, never the
-/// shard that computed it.
+/// connection; a vanished client only kills the reply write, which
+/// happens after the shard lock is released, so the shard is unharmed.
 fn handle_connection(
     stream: TcpStream,
-    pool: Arc<ShardPool<ShardReq>>,
+    shards: Arc<Vec<Shard>>,
     counters: Arc<Counters>,
     shutdown: Arc<AtomicBool>,
     trace_path: Arc<Option<String>>,
@@ -381,7 +405,7 @@ fn handle_connection(
                         ok_response("shutdown", &[String::from("\"draining\":true")])
                     }
                     Ok(Request::Metrics { tenant: None }) => {
-                        metrics_response(&counters, pool.shards())
+                        metrics_response(&counters, shards.len())
                     }
                     Ok(Request::TraceInfo) => ok_response(
                         "trace",
@@ -396,21 +420,20 @@ fn handle_connection(
                         ],
                     ),
                     Ok(req) => {
-                        let key = match &req {
-                            Request::Submit { tenant, .. }
-                            | Request::Schedule { tenant, .. }
-                            | Request::Metrics {
-                                tenant: Some(tenant),
-                            } => tenant.clone(),
-                            _ => unreachable!("non-tenant verbs handled above"),
+                        let (Request::Submit { tenant, .. }
+                        | Request::Schedule { tenant, .. }
+                        | Request::Metrics {
+                            tenant: Some(tenant),
+                        }) = &req
+                        else {
+                            unreachable!("non-tenant verbs handled above")
                         };
-                        let (rtx, rrx) = crossbeam::channel::unbounded();
-                        if pool.route(&key, ShardReq { req, reply: rtx }) {
-                            rrx.recv()
-                                .unwrap_or_else(|_| error_response("shard worker unavailable"))
-                        } else {
-                            error_response("shard worker unavailable")
-                        }
+                        let shard = &shards[(key_hash(tenant) % shards.len() as u64) as usize];
+                        let response = on_shard(shard, &counters, |tenants| {
+                            handle_tenant_request(tenants, &req, &counters)
+                        });
+                        malleable_trace::flush_thread();
+                        response
                     }
                 };
                 // One write per answer: under `nodelay` every write is
@@ -441,13 +464,13 @@ pub fn run(config: &ServeConfig) -> Result<ServeMetrics, String> {
 }
 
 /// Run the daemon on an already-bound listener until a `shutdown`
-/// request, then drain and return the final counter snapshot.
+/// request, then return the final counter snapshot.
 ///
-/// Lifecycle: start the trace session (before any worker thread is
-/// born — threads inherit the tracing state at spawn), spawn the shard
-/// pool, accept connections until the shutdown flag flips, join the
-/// connection threads, drain the pool (queued solves finish), and
-/// finally flush a validated Chrome trace if configured.
+/// Lifecycle: start the trace session (before any connection thread is
+/// born — threads inherit the tracing state at spawn), accept
+/// connections until the shutdown flag flips, join the connection
+/// threads (each finishes its in-flight request), and finally flush a
+/// validated Chrome trace if configured.
 pub fn run_on(listener: TcpListener, config: &ServeConfig) -> Result<ServeMetrics, String> {
     let addr = listener
         .local_addr()
@@ -460,18 +483,11 @@ pub fn run_on(listener: TcpListener, config: &ServeConfig) -> Result<ServeMetric
     let counters = Arc::new(Counters::default());
     let shutdown = Arc::new(AtomicBool::new(false));
     let trace_path = Arc::new(config.trace_path.clone());
-    let pool = {
-        let counters = counters.clone();
-        Arc::new(ShardPool::new(config.shards, move |_shard| {
-            let counters = counters.clone();
-            let mut tenants: BTreeMap<String, Tenant> = BTreeMap::new();
-            Box::new(move |sr: ShardReq| {
-                let response = handle_tenant_request(&mut tenants, &sr.req, &counters);
-                let _ = sr.reply.send(response);
-                malleable_trace::flush_thread();
-            })
-        }))
-    };
+    let shards: Arc<Vec<Shard>> = Arc::new(
+        (0..config.shards.max(1))
+            .map(|_| Shard::default())
+            .collect(),
+    );
 
     // Not println!: a daemon must survive its supervisor closing the
     // stdout pipe, so write errors are ignored rather than panicking.
@@ -486,12 +502,12 @@ pub fn run_on(listener: TcpListener, config: &ServeConfig) -> Result<ServeMetric
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nonblocking(false);
-                let pool = pool.clone();
+                let shards = shards.clone();
                 let counters = counters.clone();
                 let shutdown = shutdown.clone();
                 let trace_path = trace_path.clone();
                 conns.push(std::thread::spawn(move || {
-                    handle_connection(stream, pool, counters, shutdown, trace_path);
+                    handle_connection(stream, shards, counters, shutdown, trace_path);
                 }));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -504,14 +520,10 @@ pub fn run_on(listener: TcpListener, config: &ServeConfig) -> Result<ServeMetric
     }
 
     // Graceful drain: connection threads see the flag within one read
-    // timeout; the pool then finishes every queued solve before joining.
+    // timeout, after finishing the request they are answering.
     for h in conns {
         let _ = h.join();
     }
-    Arc::try_unwrap(pool)
-        .ok()
-        .expect("all connection threads joined")
-        .join();
 
     let metrics = counters.snapshot();
     if let (Some(session), Some(path)) = (session, config.trace_path.as_ref()) {
@@ -930,6 +942,74 @@ mod tests {
         assert!(ok(&first) && ok(&second), "shutdown must be idempotent");
         drop(c);
         daemon.join().unwrap();
+    }
+
+    #[test]
+    fn a_panic_under_a_shard_lock_answers_internal_and_leaves_the_shard_intact() {
+        let counters = Counters::default();
+        let shard = Shard::default();
+        let on = |req: &Request| {
+            on_shard(&shard, &counters, |tenants| {
+                handle_tenant_request(tenants, req, &counters)
+            })
+        };
+        let submit = |p, volume| Request::Submit {
+            tenant: "t".to_string(),
+            p,
+            volume,
+            weight: 1.0,
+            delta: None,
+            arrival: 0.0,
+        };
+        assert!(on(&submit(Some(2.0), 1.0)).starts_with("{\"ok\":true"));
+
+        // Both panic payload kinds: a literal (`&str`) and a formatted
+        // message (`String`).
+        let before = counters.snapshot().solve_errors;
+        let answer = on_shard(&shard, &counters, |_| panic!("policy blew up"));
+        assert_eq!(answer, r#"{"ok":false,"error":"internal: policy blew up"}"#);
+        assert_eq!(counters.snapshot().solve_errors, before + 1);
+        let answer = on_shard(&shard, &counters, |tenants| {
+            panic!("{} tenant(s) on the shard", tenants.len())
+        });
+        assert_eq!(
+            answer,
+            r#"{"ok":false,"error":"internal: 1 tenant(s) on the shard"}"#
+        );
+        assert_eq!(counters.snapshot().solve_errors, before + 2);
+
+        // The lock is not poisoned and the tenant survived: a later
+        // submit extends it and a schedule solves both tasks.
+        assert!(!shard.is_poisoned());
+        assert_eq!(
+            on(&submit(None, 2.0)),
+            r#"{"ok":true,"op":"submit","tenant":"t","tasks":2}"#
+        );
+        let schedule = Request::Schedule {
+            tenant: "t".to_string(),
+            policy: "wdeq".to_string(),
+        };
+        let solved = crate::jsonin::parse(&on(&schedule)).unwrap();
+        assert!(ok(&solved), "{solved:?}");
+        assert_eq!(solved.get("n").and_then(|n| n.as_f64()), Some(2.0));
+    }
+
+    #[test]
+    fn zero_shards_clamp_to_one_lock() {
+        let (addr, daemon) = boot(0);
+        let mut c = TestClient::connect(addr);
+        let m = c.request(r#"{"op":"metrics"}"#);
+        assert_eq!(m.get("shards").and_then(|s| s.as_f64()), Some(1.0));
+        assert!(ok(
+            &c.request(r#"{"op":"submit","tenant":"z","p":2,"volume":3}"#)
+        ));
+        let resp = c.request(r#"{"op":"schedule","tenant":"z","policy":"wdeq"}"#);
+        assert!(ok(&resp), "{resp:?}");
+        assert_eq!(resp.get("n").and_then(|n| n.as_f64()), Some(1.0));
+        assert!(ok(&c.request(r#"{"op":"shutdown"}"#)));
+        drop(c);
+        let metrics = daemon.join().unwrap();
+        assert_eq!((metrics.submits, metrics.solves), (1, 1));
     }
 
     #[test]

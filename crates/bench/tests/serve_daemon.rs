@@ -4,6 +4,7 @@
 //! and daemon answers must match batch-mode solves bit-exactly.
 
 use malleable_bench::jsonin::Json;
+use malleable_bench::parallel::key_hash;
 use malleable_bench::serve::Client;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
@@ -127,6 +128,67 @@ fn client_disconnect_during_a_solve_does_not_poison_the_shard() {
         .request("{\"op\":\"schedule\",\"tenant\":\"rude\",\"policy\":\"wdeq\"}")
         .expect("shard solves again");
     assert!(is_ok(&resp), "{resp:?}");
+    drop(c);
+    daemon.shutdown();
+}
+
+#[test]
+fn concurrent_clients_on_one_shard_each_keep_their_tenant() {
+    // Four tenants that hash to the same one of the daemon's two shard
+    // locks, each driven by its own connection: the lock serializes
+    // them, and every answer and every count must still be exact.
+    let tenants: Vec<String> = (0..)
+        .map(|i| format!("crowd-{i}"))
+        .filter(|t| key_hash(t).is_multiple_of(2))
+        .take(4)
+        .collect();
+    let daemon = Daemon::spawn(&[]);
+    std::thread::scope(|scope| {
+        for tenant in &tenants {
+            let mut c = daemon.client();
+            scope.spawn(move || {
+                for i in 0..100 {
+                    let first = if i == 0 { ",\"p\":4" } else { "" };
+                    let line = format!(
+                        "{{\"op\":\"submit\",\"tenant\":\"{tenant}\",\"volume\":{}{first}}}",
+                        i % 5 + 1
+                    );
+                    let resp = c.request(&line).expect("submit answers");
+                    assert!(is_ok(&resp), "{line}: {resp:?}");
+                    if i % 25 == 24 {
+                        let line = format!(
+                            "{{\"op\":\"schedule\",\"tenant\":\"{tenant}\",\"policy\":\"wdeq\"}}"
+                        );
+                        let resp = c.request(&line).expect("schedule answers");
+                        assert!(is_ok(&resp), "{line}: {resp:?}");
+                        assert_eq!(resp.get("n").and_then(Json::as_f64), Some(f64::from(i + 1)));
+                    }
+                }
+            });
+        }
+    });
+    let mut c = daemon.client();
+    for tenant in &tenants {
+        let line = format!("{{\"op\":\"metrics\",\"tenant\":\"{tenant}\"}}");
+        let tm = c.request(&line).expect("tenant metrics");
+        assert_eq!(
+            tm.get("tasks").and_then(Json::as_f64),
+            Some(100.0),
+            "{tm:?}"
+        );
+        assert_eq!(tm.get("solves").and_then(Json::as_f64), Some(4.0), "{tm:?}");
+    }
+    let m = c.request("{\"op\":\"metrics\"}").expect("global metrics");
+    assert_eq!(
+        m.get("serve.submits").and_then(Json::as_f64),
+        Some(400.0),
+        "{m:?}"
+    );
+    assert_eq!(
+        m.get("serve.solve_errors").and_then(Json::as_f64),
+        Some(0.0),
+        "{m:?}"
+    );
     drop(c);
     daemon.shutdown();
 }

@@ -240,6 +240,27 @@ impl<S: Scalar> Instance<S> {
         }
     }
 
+    /// Guard for algorithms that schedule every task from `t = 0` — the
+    /// paper's offline algorithms and the frontier searches. They ignore
+    /// release times, so on an instance with arrivals their schedules
+    /// would allocate tasks before they exist. The rule replays of
+    /// [`crate::policy::rules`] honour arrivals and need no guard.
+    ///
+    /// # Errors
+    /// [`ScheduleError::InvalidInstance`] when [`Instance::has_arrivals`].
+    pub fn require_offline(&self, what: &str) -> Result<(), ScheduleError> {
+        if self.has_arrivals() {
+            Err(ScheduleError::InvalidInstance {
+                reason: format!(
+                    "{what} ignores release times, but the instance has positive \
+                     arrivals; use an online policy instead"
+                ),
+            })
+        } else {
+            Ok(())
+        }
+    }
+
     /// Structural validation: positive finite `P`, volumes and caps; finite
     /// non-negative weights; a consistent machine model.
     pub fn validate(&self) -> Result<(), ScheduleError> {

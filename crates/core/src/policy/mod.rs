@@ -110,7 +110,9 @@ pub trait SchedulingPolicy<S: Scalar>: Send + Sync {
     ///
     /// # Errors
     /// Propagates instance validation and algorithm failures
-    /// ([`ScheduleError`]).
+    /// ([`ScheduleError`]). A policy that ignores release times returns
+    /// [`ScheduleError::InvalidInstance`] on an instance with arrivals
+    /// ([`Instance::require_offline`]).
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError>;
 
     /// Just the schedule.
@@ -148,6 +150,7 @@ impl<S: Scalar> SchedulingPolicy<S> for Wdeq {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         let run = wdeq_run(instance)?;
         let cert = certificate_of(instance, &run);
         Ok(PolicyRun {
@@ -226,6 +229,7 @@ impl<S: Scalar> SchedulingPolicy<S> for WaterFillNormalForm {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         let completions = wdeq_run(instance)?.schedule.completions;
         if self.fast && !wf_feasible_grouped(instance, &completions)? {
             // WDEQ times are feasible by construction; a grouped verdict to
@@ -314,6 +318,7 @@ impl<S: Scalar> SchedulingPolicy<S> for GreedyPolicy {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         let tol = Tolerance::<S>::for_instance(instance.n());
         let step = greedy_schedule(instance, &self.order.order(instance))?;
         Ok(plain(step_to_column(&step, tol)))
@@ -339,6 +344,7 @@ impl<S: Scalar> SchedulingPolicy<S> for BestHeuristicGreedy {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         let tol = Tolerance::<S>::for_instance(instance.n());
         let (_, order, _) = best_heuristic_greedy(instance)?;
         let step = greedy_schedule(instance, &order)?;
@@ -365,6 +371,7 @@ impl<S: Scalar> SchedulingPolicy<S> for MakespanOptimal {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         makespan_schedule(instance).map(plain)
     }
 }
@@ -391,6 +398,7 @@ impl<S: Scalar> SchedulingPolicy<S> for LmaxHeightDue {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         let due: Vec<S> = instance
             .iter()
             .map(|(id, t)| t.volume.clone() / instance.effective_delta(id))
@@ -424,6 +432,7 @@ impl<S: Scalar> SchedulingPolicy<S> for LmaxParametric {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         let due: Vec<S> = smith_ratio_dues(instance);
         let lateness = Objective::Lateness { due: &due };
         let (_, schedule) = frontier(instance, lateness, &mut ProbeSession::new())?;
@@ -469,6 +478,7 @@ impl<S: Scalar> SchedulingPolicy<S> for MakespanParametric {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         let releases = vec![S::zero(); instance.n()];
         let makespan = Objective::Makespan {
             releases: &releases,
@@ -543,6 +553,7 @@ impl<S: Scalar> SchedulingPolicy<S> for WaterFillRelated {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         let completions = rules::replay(instance, &rules::WdeqRule)?.completions;
         flow_witness(instance, None, &completions, &mut ProbeSession::new()).map(plain)
     }
@@ -569,6 +580,7 @@ impl<S: Scalar> SchedulingPolicy<S> for GreedySmithRelated {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         greedy_related(instance, &orders::smith_order(instance)).map(plain)
     }
 }
@@ -595,6 +607,7 @@ impl<S: Scalar> SchedulingPolicy<S> for GreedyLptRelated {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         greedy_related(instance, &orders::volume_descending(instance)).map(plain)
     }
 }
@@ -621,6 +634,7 @@ impl<S: Scalar> SchedulingPolicy<S> for GreedyEligibilityRelated {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         greedy_related(instance, &orders::count_cap_ascending(instance)).map(plain)
     }
 }
@@ -647,6 +661,7 @@ impl<S: Scalar> SchedulingPolicy<S> for LmaxParametricRelated {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
+        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
         let due = smith_ratio_dues(instance);
         let lateness = Objective::FlowLateness { due: &due };
         let (_, schedule) = frontier(instance, lateness, &mut ProbeSession::new())?;

@@ -5,6 +5,7 @@
 //! every feasible schedule too).
 
 use malleable::core::bounds::{combined_lower_bound, height_bound, squashed_area_bound};
+use malleable::core::error::ScheduleError;
 use malleable::core::policy;
 use malleable::prelude::*;
 use malleable::workloads::seed_batch;
@@ -185,4 +186,39 @@ fn rule_replays_honour_release_times() {
             }
         }
     }
+}
+
+#[test]
+fn policies_that_ignore_release_times_refuse_arrivals() {
+    // Every registry policy on a streaming instance either honours the
+    // release times (its schedule validates, arrival check included) or
+    // refuses the instance outright — never a schedule that runs a task
+    // before it arrives.
+    let specs = [
+        Spec::PoissonArrivals { n: 30, rate: 2.0 },
+        Spec::ArrivalWaves {
+            n: 30,
+            waves: 3,
+            gap: 2.0,
+        },
+    ];
+    let mut refused = 0;
+    for spec in &specs {
+        for seed in 1..=3 {
+            let inst = generate(spec, seed);
+            assert!(inst.has_arrivals(), "{}/{seed}", spec.label());
+            for p in policy::all::<f64>() {
+                let name = p.name();
+                match p.schedule(&inst) {
+                    Ok(schedule) => schedule.validate(&inst).unwrap_or_else(|e| {
+                        panic!("{name} on {}/{seed}: invalid schedule: {e}", spec.label())
+                    }),
+                    Err(ScheduleError::InvalidInstance { .. }) => refused += 1,
+                    Err(e) => panic!("{name} on {}/{seed}: {e}", spec.label()),
+                }
+            }
+        }
+    }
+    // The offline policies are the ones refusing: 19 of them, every time.
+    assert_eq!(refused, 19 * specs.len() * 3);
 }
