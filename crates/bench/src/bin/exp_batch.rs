@@ -272,12 +272,7 @@ fn main() {
                     .expect("every registry name resolves");
                 malleable_sim::simulate(inst, rule.as_ref())
                     .map(|run| run.schedule)
-                    .map_err(|e| match e {
-                        malleable_sim::SimError::Instance(inner) => inner,
-                        other => malleable_core::error::ScheduleError::InvalidInstance {
-                            reason: format!("online simulation failed: {other}"),
-                        },
-                    })
+                    .map_err(Into::into)
             }));
     }
 

@@ -64,7 +64,6 @@
 
 use crate::algos::flow::{FlowNetwork, FlowStats};
 use crate::algos::makespan::deadlines_feasible;
-use crate::algos::related::flow_witness;
 use crate::algos::waterfill::water_filling;
 use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
@@ -684,8 +683,8 @@ pub(crate) fn flow_columns<S: Scalar>(
 /// transportation solve through `session` (warm-started from its previous
 /// probe where possible): `None` when the flow saturates every volume,
 /// otherwise the violated set on the source side of the min cut. Every
-/// flow oracle, the [`flow_witness`] error path and
-/// [`feasible_with_releases`] go through here.
+/// flow oracle, the [`flow_witness`](crate::algos::related::flow_witness)
+/// error path and [`feasible_with_releases`] go through here.
 ///
 /// Inputs are assumed pre-validated; deadlines must be positive and at
 /// least `rᵢ + hᵢ` for every task — the searches guarantee this by
@@ -986,8 +985,9 @@ pub(crate) fn check_times<S: Scalar>(
 
 /// The **exact** optimum of `objective` — the root of the feasibility
 /// frontier, exact on exact scalars and machine-precision on `f64` — with
-/// a witnessing schedule. Every transportation probe, and the witness
-/// solve, runs through `session`; callers that do not meter probes pass
+/// a witnessing schedule. Every transportation probe runs through
+/// `session`, and on the flow paths the accepted probe's flow is the
+/// witness; callers that do not meter probes pass
 /// `&mut ProbeSession::new()`.
 ///
 /// The search starts at the closed-form lower bound (`maxᵢ (hᵢ − dᵢ)` for
@@ -1083,14 +1083,13 @@ pub fn frontier<S: Scalar>(
                 return Ok((l, witness));
             }
             // The flow is oracle and witness builder: probe k's flow warm
-            // starts probe k + 1, and the witness re-solves the accepted
-            // deadlines on the residual that just accepted them.
+            // starts probe k + 1, and the search returns on its first
+            // feasible probe, so the session holds the accepted flow.
             let flow_probe = |_: &S, d: &[S], session: &mut ProbeSession<S>| {
                 Probe::flow(violated_set(instance, None, d, session))
             };
             let l = newton(n, start, what, session, clamped, flow_probe, root)?;
-            let witness = flow_witness(instance, None, &clamped(&l), session)?;
-            Ok((l, witness))
+            Ok((l, flow_columns(instance, session)))
         }
         Objective::Makespan { releases } => {
             // Trivial lower bounds: no task finishes before rᵢ + hᵢ
@@ -1107,26 +1106,18 @@ pub fn frontier<S: Scalar>(
                 .reduce(S::min_of)
                 .expect("n ≥ 1 checked above");
             start = start.max_of(rmin + instance.total_volume() / instance.p.clone());
-            // The flow is the oracle: the accepted probe's flow is the
-            // witness, read off before the session moves on.
-            let mut witness = None;
-            let probe = |_: &S, d: &[S], session: &mut ProbeSession<S>| {
-                let cut = release_probe(instance, releases, d, session);
-                if cut.is_none() {
-                    witness = Some(flow_columns(instance, session));
-                }
-                Probe::flow(cut)
-            };
+            // The flow is the oracle, and the accepted probe's flow (the
+            // session's last) is the witness.
             let c = newton(
                 n,
                 start,
                 "parametric release-date Cmax search",
                 session,
                 |c| vec![c.clone(); n],
-                probe,
+                |_, d, session| Probe::flow(release_probe(instance, releases, d, session)),
                 |_, set| release_constraint_root(instance, releases, set),
             )?;
-            Ok((c, witness.expect("the search accepted a feasible deadline")))
+            Ok((c, flow_columns(instance, session)))
         }
     }
 }

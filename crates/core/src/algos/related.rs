@@ -40,9 +40,7 @@ use numkit::Scalar;
 /// by its `deadlines` under the optional `releases`, by solving the
 /// transportation flow through `session` and averaging the routed volume
 /// per (task, interval). Completion times are the end of each task's last
-/// positive allocation (≤ its deadline). When the session's last probe
-/// already solved these very deadlines (the hand-off from a search that
-/// just accepted them), the warm solve has nothing to repair or augment.
+/// positive allocation (≤ its deadline).
 ///
 /// # Errors
 /// [`ScheduleError::InfeasibleCompletionTimes`] when the flow does not

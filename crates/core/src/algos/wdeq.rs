@@ -33,16 +33,16 @@
 //!
 //! All event times are field operations, so the exact instantiation
 //! produces exact completion times — and a certificate whose inequality
-//! holds with zero tolerance. [`wdeq_run_reference`] keeps the quadratic
-//! per-event rescan as an executable specification; the exact paths of the
-//! two implementations are checked bit-for-bit in `tests/exactness.rs`.
+//! holds with zero tolerance.
 //!
-//! This module contains the *closed-form clairvoyant replay* of the policy
-//! (fast, exact event times). The same Algorithm 1 also runs as
+//! The same Algorithm 1 also runs as
 //! [`WdeqRule`](crate::policy::rules::WdeqRule) through the generic event
-//! loop [`run_rule`](crate::policy::rules::run_rule) — the non-clairvoyant
-//! path behind `malleable-sim`'s online engine, with release times — and
-//! the two are checked against each other in integration tests.
+//! loop [`run_rule`](crate::policy::rules::run_rule), which recomputes
+//! [`wdeq_allocation`] over the whole active set at every event (`O(n²)`
+//! total). That loop is the executable specification of this module: the
+//! non-clairvoyant path behind `malleable-sim`'s online engine (with
+//! release times), and the oracle the event-driven lanes here are checked
+//! against — bit-for-bit at `Rational` in `tests/exactness.rs`.
 
 use crate::algos::events::EventHeap;
 use crate::bounds::mixed_bound;
@@ -50,8 +50,6 @@ use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
 use crate::schedule::column::{Column, ColumnSchedule};
 use numkit::Scalar;
-#[cfg(test)]
-use numkit::Tolerance;
 
 /// Result of a WDEQ run: the schedule plus the volume split that certifies
 /// the 2-approximation.
@@ -183,7 +181,11 @@ struct EngineOutcome<S> {
     columns: Vec<Column<S>>,
 }
 
-fn validate_for_wdeq<S: Scalar>(instance: &Instance<S>) -> Result<(), ScheduleError> {
+/// The event-driven replay (see the module docs for the invariants).
+fn drive<S: Scalar>(
+    instance: &Instance<S>,
+    collect_columns: bool,
+) -> Result<EngineOutcome<S>, ScheduleError> {
     instance.validate()?;
     // The closed-form replay (and its Lemma-2 certificate) is proved for
     // identical machines; the related-machines equipartition is the
@@ -194,15 +196,6 @@ fn validate_for_wdeq<S: Scalar>(instance: &Instance<S>) -> Result<(), ScheduleEr
             reason: "WDEQ requires strictly positive weights".into(),
         });
     }
-    Ok(())
-}
-
-/// The event-driven replay (see the module docs for the invariants).
-fn drive<S: Scalar>(
-    instance: &Instance<S>,
-    collect_columns: bool,
-) -> Result<EngineOutcome<S>, ScheduleError> {
-    validate_for_wdeq(instance)?;
     let tol = S::default_tolerance();
     let n = instance.n();
     // One span per run with aggregate counters — per-event spans at
@@ -215,9 +208,8 @@ fn drive<S: Scalar>(
     let caps: Vec<S> = (0..n)
         .map(|i| instance.effective_delta(TaskId(i)))
         .collect();
-    // Completion-within-slack thresholds, matching the quadratic
-    // reference's `remaining ≤ tol.slack(volume, 0)` test (zero on exact
-    // scalars).
+    // Completion-within-slack thresholds: a task is done once its
+    // remaining volume is `≤ tol.slack(volume, 0)` (zero on exact scalars).
     let slacks: Vec<S> = volumes
         .iter()
         .map(|v| tol.slack(v.clone(), S::zero()))
@@ -367,7 +359,7 @@ fn drive<S: Scalar>(
             else {
                 break;
             };
-            // remaining = (key − t)·δ ≤ slack ⇔ the reference's test.
+            // remaining = (key − t)·δ ≤ slack.
             if (k - t_now.clone()) * caps[i].clone() <= slacks[i] {
                 sat_heap.pop();
                 regime[i] = Regime::Done;
@@ -463,111 +455,6 @@ pub fn wdeq_completions<S: Scalar>(
     })
 }
 
-/// The quadratic reference replay: recompute [`wdeq_allocation`] over the
-/// full active set at every completion event (`O(n²)` total). This is the
-/// executable specification the event-driven [`wdeq_run`] is checked
-/// against — bit-for-bit at `Rational` in `tests/exactness.rs` — and is
-/// kept verbatim for that purpose.
-///
-/// # Errors
-/// Same input validation as [`wdeq_run`].
-pub fn wdeq_run_reference<S: Scalar>(instance: &Instance<S>) -> Result<WdeqRun<S>, ScheduleError> {
-    validate_for_wdeq(instance)?;
-    let tol = S::default_tolerance();
-    let n = instance.n();
-    let mut remaining: Vec<S> = instance.tasks.iter().map(|t| t.volume.clone()).collect();
-    let mut active: Vec<usize> = (0..n).collect();
-    let mut completions = vec![S::zero(); n];
-    let mut full_volumes = vec![S::zero(); n];
-    let mut limited_volumes = vec![S::zero(); n];
-    let mut columns = Vec::with_capacity(n);
-    let mut now = S::zero();
-
-    while !active.is_empty() {
-        let entries: Vec<(S, S)> = active
-            .iter()
-            .map(|&i| {
-                (
-                    instance.tasks[i].weight.clone(),
-                    instance.effective_delta(TaskId(i)),
-                )
-            })
-            .collect();
-        let rates = wdeq_allocation(&entries, instance.p.clone());
-        // Time until the first active task finishes.
-        let mut dt: Option<S> = None;
-        for (k, &i) in active.iter().enumerate() {
-            debug_assert!(
-                rates[k].is_positive(),
-                "WDEQ allocates a positive rate to every weighted task"
-            );
-            let t_i = remaining[i].clone() / rates[k].clone();
-            dt = Some(match dt {
-                Some(d) => d.min_of(t_i),
-                None => t_i,
-            });
-        }
-        let dt = dt.expect("active set is non-empty");
-        debug_assert!(dt.is_finite() && dt.is_positive());
-
-        let col_rates: Vec<(TaskId, S)> = active
-            .iter()
-            .zip(&rates)
-            .map(|(&i, r)| (TaskId(i), r.clone()))
-            .collect();
-        columns.push(Column {
-            start: now.clone(),
-            end: now.clone() + dt.clone(),
-            rates: col_rates,
-        });
-
-        // Account processed volume, split by full/limited allocation.
-        let mut done = Vec::new();
-        for (k, &i) in active.iter().enumerate() {
-            let processed = rates[k].clone() * dt.clone();
-            let cap = instance.effective_delta(TaskId(i));
-            if tol.ge(rates[k].clone(), cap) {
-                full_volumes[i] = full_volumes[i].clone() + processed.clone();
-            } else {
-                limited_volumes[i] = limited_volumes[i].clone() + processed.clone();
-            }
-            remaining[i] = remaining[i].clone() - processed;
-            // Completion: exactly zero remaining, or within tolerance of it.
-            if remaining[i] <= tol.slack(instance.tasks[i].volume.clone(), S::zero()) {
-                remaining[i] = S::zero();
-                completions[i] = now.clone() + dt.clone();
-                done.push(i);
-            }
-        }
-        debug_assert!(!done.is_empty(), "each WDEQ event completes ≥ 1 task");
-        active.retain(|i| !done.contains(i));
-        now = now + dt;
-    }
-
-    // Snap the volume split onto the exact volumes (it drifts by float
-    // accumulation; the split must satisfy V¹ + V² = V exactly for the
-    // mixed bound). A no-op in exact arithmetic, where the split already
-    // sums to the volume.
-    for i in 0..n {
-        let v = instance.tasks[i].volume.clone();
-        let s = full_volumes[i].clone() + limited_volumes[i].clone();
-        if s.is_positive() {
-            full_volumes[i] = full_volumes[i].clone() * v.clone() / s;
-            limited_volumes[i] = v - full_volumes[i].clone();
-        }
-    }
-
-    Ok(WdeqRun {
-        schedule: ColumnSchedule {
-            p: instance.p.clone(),
-            completions,
-            columns,
-        },
-        full_volumes,
-        limited_volumes,
-    })
-}
-
 /// Convenience: just the WDEQ schedule.
 ///
 /// ```
@@ -616,35 +503,11 @@ pub fn certificate_of<S: Scalar>(instance: &Instance<S>, run: &WdeqRun<S>) -> Wd
     }
 }
 
-/// **DEQ** (Deng et al.): the unweighted special case — equal shares.
-/// Implemented as WDEQ on a unit-weight copy of the instance, which is
-/// exactly Algorithm 1 with `wᵢ = 1`.
-pub fn deq_schedule<S: Scalar>(instance: &Instance<S>) -> Result<ColumnSchedule<S>, ScheduleError> {
-    let unit = Instance {
-        p: instance.p.clone(),
-        tasks: instance
-            .tasks
-            .iter()
-            .map(|t| crate::instance::Task::new(t.volume.clone(), S::one(), t.delta.clone()))
-            .collect(),
-        machine: instance.machine.clone(),
-        arrivals: instance.arrivals.clone(),
-    };
-    let run = wdeq_run(&unit)?;
-    Ok(ColumnSchedule {
-        p: instance.p.clone(),
-        ..run.schedule
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::rules::{replay, run_rule, DeqRule, RuleError, WdeqRule};
     use bigratio::Rational;
-
-    fn tol() -> Tolerance {
-        Tolerance::default().scaled(10.0)
-    }
 
     #[test]
     fn allocation_proportional_when_no_caps_bind() {
@@ -754,9 +617,11 @@ mod tests {
             wdeq_run(&inst),
             Err(ScheduleError::InvalidInstance { .. })
         ));
+        // The per-event recompute runs it and stalls: a weightless task
+        // gets a zero share forever.
         assert!(matches!(
-            wdeq_run_reference(&inst),
-            Err(ScheduleError::InvalidInstance { .. })
+            run_rule(&inst, &WdeqRule),
+            Err(RuleError::Stalled { .. })
         ));
         assert!(matches!(
             wdeq_completions(&inst),
@@ -786,15 +651,13 @@ mod tests {
             .task(1.0, 0.5, 2.0)
             .build()
             .unwrap();
-        let deq = deq_schedule(&inst).unwrap();
+        let deq = replay(&inst, &DeqRule).unwrap();
         let unit = Instance::builder(2.0)
             .task(3.0, 1.0, 1.0)
             .task(1.0, 1.0, 2.0)
             .build()
             .unwrap();
-        let wdeq = wdeq_schedule(&unit);
-        assert_eq!(deq.completions, wdeq.completions);
-        let _ = tol();
+        assert_eq!(deq, replay(&unit, &WdeqRule).unwrap());
     }
 
     #[test]
@@ -829,7 +692,7 @@ mod tests {
         ] {
             let inst = Instance::builder(p).tasks(tasks).build().unwrap();
             let fast = wdeq_run(&inst).unwrap();
-            let slow = wdeq_run_reference(&inst).unwrap();
+            let slow = run_rule(&inst, &WdeqRule).unwrap();
             assert_eq!(fast.schedule.columns.len(), slow.schedule.columns.len());
             for (a, b) in fast
                 .schedule
@@ -839,9 +702,9 @@ mod tests {
             {
                 assert!((a - b).abs() < 1e-9, "completions diverge: {a} vs {b}");
             }
-            for i in 0..inst.n() {
-                assert!((fast.full_volumes[i] - slow.full_volumes[i]).abs() < 1e-9);
-                assert!((fast.limited_volumes[i] - slow.limited_volumes[i]).abs() < 1e-9);
+            for (i, t) in inst.tasks.iter().enumerate() {
+                assert!((fast.full_volumes[i] - (t.volume - slow.limited[i])).abs() < 1e-9);
+                assert!((fast.limited_volumes[i] - slow.limited[i]).abs() < 1e-9);
             }
             // The completions-only lane agrees with the full run.
             let lane = wdeq_completions(&inst).unwrap();
@@ -896,15 +759,14 @@ mod tests {
             .build()
             .unwrap();
         let fast = wdeq_run(&inst).unwrap();
-        let slow = wdeq_run_reference(&inst).unwrap();
-        assert_eq!(fast.schedule.completions, slow.schedule.completions);
-        assert_eq!(fast.full_volumes, slow.full_volumes);
-        assert_eq!(fast.limited_volumes, slow.limited_volumes);
-        assert_eq!(fast.schedule.columns.len(), slow.schedule.columns.len());
-        for (a, b) in fast.schedule.columns.iter().zip(&slow.schedule.columns) {
-            assert_eq!(a.start, b.start);
-            assert_eq!(a.end, b.end);
-            assert_eq!(a.rates, b.rates);
+        let slow = run_rule(&inst, &WdeqRule).unwrap();
+        assert_eq!(fast.schedule, slow.schedule);
+        assert_eq!(fast.limited_volumes, slow.limited);
+        for (i, t) in inst.tasks.iter().enumerate() {
+            assert_eq!(
+                fast.full_volumes[i],
+                t.volume.clone() - slow.limited[i].clone()
+            );
         }
     }
 }

@@ -520,10 +520,11 @@ impl<S: Scalar> SchedulingPolicy<S> for WdeqRelated {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        let (schedule, limited) = rules::replay_with_split(instance, &rules::WdeqRule)?;
-        let lower_bound = mixed_bound(instance, &limited).max_of(combined_lower_bound(instance));
+        let run = rules::run_rule(instance, &rules::WdeqRule)?;
+        let lower_bound =
+            mixed_bound(instance, &run.limited).max_of(combined_lower_bound(instance));
         Ok(PolicyRun {
-            schedule,
+            schedule: run.schedule,
             certificate: Some(PolicyCertificate {
                 lower_bound,
                 factor: S::from_int(2),

@@ -6,20 +6,27 @@
 //! remaining volumes, asks the rule for shares at every completion and
 //! every arrival, checks them, and steps to the next event. Its callers:
 //!
-//! * [`replay`] / [`replay_with_split`] — the
+//! * [`replay`] and [`run_rule`] itself — the
 //!   [`SchedulingPolicy`](crate::policy::SchedulingPolicy) registry's
-//!   DEQ, WDEQ ablations and related-machines WDEQ;
+//!   DEQ, WDEQ ablations and related-machines WDEQ (which also reads the
+//!   Lemma-2 volume split, [`RuleRun::limited`]);
 //! * `malleable-sim`'s `simulate` — the online engine (uniform machines
-//!   only) behind the daemon's streaming tenants.
+//!   only) behind the daemon's streaming tenants;
+//! * the tests, where `run_rule(&WdeqRule)` is the quadratic executable
+//!   specification of Algorithm 1 that the event-driven
+//!   [`wdeq_run`](crate::algos::wdeq::wdeq_run) must reproduce
+//!   bit-for-bit at `Rational`.
 //!
 //! Keeping the rules here (generic over the scalar) means the paper's
-//! Algorithm 1 and its ablations exist exactly once in the workspace.
+//! Algorithm 1 and its ablations exist exactly once in the workspace, and
+//! this is the workspace's one per-event recompute loop.
 
 use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
 use crate::schedule::column::{Column, ColumnSchedule};
 use numkit::{Scalar, Tolerance};
 use std::borrow::Cow;
+use std::fmt;
 
 /// Observable state of one unfinished task, as exposed to a rule.
 #[derive(Debug, Clone)]
@@ -151,7 +158,13 @@ impl<S: Scalar> AllocationRule<S> for PriorityRule {
 pub struct RuleRun<S = f64> {
     /// The executed schedule (columns = inter-event intervals).
     pub schedule: ColumnSchedule<S>,
-    /// The Lemma-2 volume split `V¹` (see [`replay_with_split`]).
+    /// The Lemma-2 volume split `V¹`: for each task, how much of its
+    /// volume was processed while the rule allocated it **less than its
+    /// cap** (the task was *limited* — capacity was the binding
+    /// resource). It satisfies `0 ≤ V¹ᵢ ≤ Vᵢ`, and by Lemma 1 any such
+    /// split yields the sound lower bound `OPT ≥ A(I[V¹]) + H(I[V − V¹])`
+    /// ([`crate::bounds::mixed_bound`]) — the per-run certificate the
+    /// related-machines WDEQ policy reports.
     pub limited: Vec<S>,
     /// Number of allocation events (rule invocations).
     pub events: usize,
@@ -196,6 +209,15 @@ impl From<RuleError> for ScheduleError {
     }
 }
 
+/// The text of the [`ScheduleError`] conversion, so both read alike.
+impl fmt::Display for RuleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        ScheduleError::from(self.clone()).fmt(f)
+    }
+}
+
+impl std::error::Error for RuleError {}
+
 /// Replay of an allocation rule to completion: recompute shares at every
 /// event, jump to the next one, repeat. The columns of the result are
 /// the inter-event intervals (exactly the granularity the paper's model
@@ -226,25 +248,6 @@ pub fn replay<S: Scalar>(
     rule: &dyn AllocationRule<S>,
 ) -> Result<ColumnSchedule<S>, ScheduleError> {
     Ok(run_rule(instance, rule)?.schedule)
-}
-
-/// [`replay`] that additionally returns the Lemma-2 volume split: for
-/// each task, how much of its volume was processed while the rule
-/// allocated it **less than its cap** (the task was *limited* — capacity
-/// was the binding resource). The returned vector `V¹` satisfies
-/// `0 ≤ V¹ᵢ ≤ Vᵢ`, and by Lemma 1 any such split yields the sound lower
-/// bound `OPT ≥ A(I[V¹]) + H(I[V − V¹])`
-/// ([`crate::bounds::mixed_bound`]) — the per-run certificate the
-/// related-machines WDEQ policy reports.
-///
-/// # Errors
-/// Same contract as [`replay`].
-pub fn replay_with_split<S: Scalar>(
-    instance: &Instance<S>,
-    rule: &dyn AllocationRule<S>,
-) -> Result<(ColumnSchedule<S>, Vec<S>), ScheduleError> {
-    let run = run_rule(instance, rule)?;
-    Ok((run.schedule, run.limited))
 }
 
 /// The event loop behind [`replay`] and `malleable-sim`'s `simulate`.
@@ -330,7 +333,7 @@ pub fn run_rule<S: Scalar>(
         // Time to the next completion among tasks that progress.
         let mut dt: Option<S> = None;
         for (k, &i) in active.iter().enumerate() {
-            if rates[k] > tol.abs {
+            if rates[k].is_positive() {
                 let t_i = remaining[i].clone() / rates[k].clone();
                 dt = Some(match dt {
                     Some(d) => d.min_of(t_i),
@@ -363,7 +366,7 @@ pub fn run_rule<S: Scalar>(
             rates: active
                 .iter()
                 .zip(rates.iter())
-                .filter(|(_, r)| **r > tol.abs)
+                .filter(|(_, r)| r.is_positive())
                 .map(|(&i, r)| (TaskId(i), r.clone()))
                 .collect(),
         });
@@ -589,15 +592,13 @@ mod tests {
     #[test]
     fn replay_split_partitions_each_volume() {
         let i = inst();
-        let (s, limited) = replay_with_split(&i, &WdeqRule).unwrap();
-        let direct = replay(&i, &WdeqRule).unwrap();
-        assert_eq!(s, direct, "split tracking must not perturb the replay");
-        for (l, t) in limited.iter().zip(&i.tasks) {
+        let run = run_rule(&i, &WdeqRule).unwrap();
+        for (l, t) in run.limited.iter().zip(&i.tasks) {
             assert!(*l >= 0.0 && *l <= t.volume + 1e-12, "split out of range");
         }
         // The mixed bound over the tracked split is a sound lower bound.
-        let lb = crate::bounds::mixed_bound(&i, &limited);
-        let cost = s.weighted_completion_cost(&i);
+        let lb = crate::bounds::mixed_bound(&i, &run.limited);
+        let cost = run.schedule.weighted_completion_cost(&i);
         assert!(lb <= cost + 1e-9, "mixed bound {lb} above cost {cost}");
     }
 

@@ -237,9 +237,9 @@ impl<S: Scalar> ColumnSchedule<S> {
                         delta: cap.to_f64(),
                     });
                 }
+                let completion = &self.completions[task.0];
                 if long && *rate > tol.abs {
                     // Allocation strictly after the task's completion time.
-                    let completion = &self.completions[task.0];
                     if col.start > completion.clone() + late_slack.clone() {
                         return Err(ScheduleError::AllocationAfterCompletion {
                             task: *task,
@@ -258,6 +258,12 @@ impl<S: Scalar> ColumnSchedule<S> {
                             });
                         }
                     }
+                }
+                // Any positive rate that starts before the completion ends
+                // some of the task's work, however small: a task may run
+                // below `abs` throughout. A rate at or below `abs` after
+                // the completion is noise, neither rejected nor recorded.
+                if long && (*rate > tol.abs || (rate.is_positive() && col.start < *completion)) {
                     a.last_end = a.last_end.clone().max_of(col.end.clone());
                 }
                 if rate.is_positive() {
@@ -328,7 +334,8 @@ impl<S: Scalar> ColumnSchedule<S> {
             }
         }
         // Completion must coincide with the end of the last positive-rate,
-        // positive-length column of each task.
+        // positive-length column of each task (a rate at or below `abs`
+        // counts only when it starts before the completion).
         for ((i, c), a) in self.completions.iter().enumerate().zip(&acc) {
             if !tol.eq(a.last_end.clone(), c.clone()) {
                 return Err(ScheduleError::AllocationAfterCompletion {
@@ -347,7 +354,8 @@ impl<S: Scalar> ColumnSchedule<S> {
 struct TaskAcc<S> {
     /// Area allocated so far, in column order.
     area: AreaSum<S>,
-    /// End of the last positive-rate, positive-length column so far.
+    /// End of the last positive-rate, positive-length column so far (see
+    /// the completion check of `validate_with` for rates at or below `abs`).
     last_end: S,
     /// `j + 1` for the last column `j` that listed the task (0 = none).
     seen_in: usize,

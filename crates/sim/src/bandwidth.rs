@@ -14,8 +14,9 @@
 //! completion times* of the malleable transfer schedule — the reduction
 //! this module makes executable.
 
-use crate::engine::{simulate, SimError};
+use crate::engine::simulate;
 use malleable_core::instance::{Instance, Task};
+use malleable_core::policy::rules::RuleError;
 use malleable_core::policy::AllocationRule;
 use malleable_core::schedule::column::ColumnSchedule;
 use numkit::KahanSum;
@@ -83,12 +84,12 @@ impl BandwidthScenario {
     /// `horizon`.
     ///
     /// # Errors
-    /// Propagates [`SimError`] from the engine.
+    /// Propagates [`RuleError`] from the engine.
     pub fn run_policy(
         &self,
         rule: &dyn AllocationRule<f64>,
         horizon: f64,
-    ) -> Result<BandwidthReport, SimError> {
+    ) -> Result<BandwidthReport, RuleError> {
         let instance = self.to_instance();
         let result = simulate(&instance, rule)?;
         Ok(self.report(rule.name(), &result.schedule, &instance, horizon))

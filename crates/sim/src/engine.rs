@@ -24,91 +24,8 @@
 //! at the zero tolerance).
 
 use malleable_core::instance::Instance;
-use malleable_core::policy::rules::{run_rule, AllocationRule, RuleError};
-use malleable_core::schedule::column::ColumnSchedule;
-use malleable_core::ScheduleError;
+use malleable_core::policy::rules::{run_rule, AllocationRule, RuleError, RuleRun};
 use numkit::Scalar;
-use std::fmt;
-
-/// Simulation failure.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimError {
-    /// The policy returned an invalid allocation.
-    PolicyViolation {
-        /// Which policy misbehaved.
-        policy: &'static str,
-        /// What it did wrong.
-        reason: String,
-    },
-    /// No task makes progress under the returned allocation.
-    Stalled {
-        /// Simulation time at which progress stopped (approximate for
-        /// exact scalars; diagnostics only).
-        at: f64,
-    },
-    /// The instance itself was malformed.
-    Instance(ScheduleError),
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::PolicyViolation { policy, reason } => {
-                write!(f, "policy {policy} returned invalid rates: {reason}")
-            }
-            SimError::Stalled { at } => write!(f, "simulation stalled at t = {at}"),
-            SimError::Instance(e) => write!(f, "invalid instance: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-impl From<ScheduleError> for SimError {
-    fn from(e: ScheduleError) -> Self {
-        SimError::Instance(e)
-    }
-}
-
-impl From<RuleError> for SimError {
-    fn from(e: RuleError) -> Self {
-        match e {
-            RuleError::Instance(e) => SimError::Instance(e),
-            RuleError::Violation { rule, reason } => SimError::PolicyViolation {
-                policy: rule,
-                reason,
-            },
-            RuleError::Stalled { at, .. } => SimError::Stalled { at },
-        }
-    }
-}
-
-/// Outcome of a simulation run.
-#[derive(Debug, Clone)]
-pub struct SimResult<S = f64> {
-    /// The executed schedule (columns = inter-event intervals).
-    pub schedule: ColumnSchedule<S>,
-    /// Number of allocation events (policy invocations).
-    pub events: usize,
-}
-
-impl<S: Scalar> SimResult<S> {
-    /// `Σ wᵢCᵢ` under the generating instance.
-    pub fn cost(&self, instance: &Instance<S>) -> S {
-        self.schedule.weighted_completion_cost(instance)
-    }
-
-    /// The paper's title objective as a *mean*: `Σ wᵢCᵢ / Σ wᵢ`. Returns
-    /// zero for empty instances and all-zero weights instead of `NaN` —
-    /// a workload with nothing to weight has trivially zero mean cost.
-    pub fn mean_cost(&self, instance: &Instance<S>) -> S {
-        let total_weight = S::sum(instance.tasks.iter().map(|t| t.weight.clone()));
-        if !total_weight.is_positive() {
-            return S::zero();
-        }
-        self.cost(instance) / total_weight
-    }
-}
 
 /// Run `rule` on `instance` until all tasks complete, honoring release
 /// times when the instance carries them (tasks become visible to the
@@ -117,29 +34,27 @@ impl<S: Scalar> SimResult<S> {
 /// The engine accepts identical and uniform-speed machines only: the
 /// rule shares machine counts (per-task cap, `Σ ≤` machine count) and
 /// each count runs at the one machine speed. Heterogeneous machines run
-/// through the `malleable_core::policy` registry instead.
+/// through the `malleable_core::policy` registry instead. Past that
+/// guard this is [`run_rule`], and the result is its [`RuleRun`].
 ///
 /// # Errors
-/// [`SimError::PolicyViolation`] when the rule emits out-of-range shares,
-/// [`SimError::Stalled`] when no task progresses and nothing further
-/// arrives, or [`SimError::Instance`] for malformed or heterogeneous
-/// instances.
+/// [`RuleError::Instance`] for malformed or heterogeneous instances,
+/// [`RuleError::Violation`] when the rule emits out-of-range shares, and
+/// [`RuleError::Stalled`] when no task progresses and nothing further
+/// arrives.
 pub fn simulate<S: Scalar>(
     instance: &Instance<S>,
     rule: &dyn AllocationRule<S>,
-) -> Result<SimResult<S>, SimError> {
-    instance.require_uniform_machine("the online simulation engine")?;
-    let run = run_rule(instance, rule)?;
-    Ok(SimResult {
-        schedule: run.schedule,
-        events: run.events,
-    })
+) -> Result<RuleRun<S>, RuleError> {
+    instance
+        .require_uniform_machine("the online simulation engine")
+        .map_err(RuleError::Instance)?;
+    run_rule(instance, rule)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use malleable_core::instance::Instance;
     use malleable_core::policy::rules::ActiveTask;
     use std::cell::RefCell;
 
@@ -207,19 +122,18 @@ mod tests {
         // T0 at rate 1 [0,2]; T1 at rate 1 [0,1]. Both events recorded.
         assert_eq!(r.schedule.completions, vec![2.0, 1.0]);
         assert_eq!(r.events, 2);
-        assert!((r.cost(&inst()) - 3.0).abs() < 1e-9);
-        assert!((r.mean_cost(&inst()) - 1.5).abs() < 1e-9);
+        assert!((r.schedule.weighted_completion_cost(&inst()) - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn policy_violations_detected() {
         assert!(matches!(
             simulate(&inst(), &BadLength),
-            Err(SimError::PolicyViolation { .. })
+            Err(RuleError::Violation { .. })
         ));
         assert!(matches!(
             simulate(&inst(), &OverCap),
-            Err(SimError::PolicyViolation { .. })
+            Err(RuleError::Violation { .. })
         ));
     }
 
@@ -227,33 +141,30 @@ mod tests {
     fn stall_detected() {
         assert!(matches!(
             simulate(&inst(), &Lazy),
-            Err(SimError::Stalled { .. })
+            Err(RuleError::Stalled { .. })
         ));
     }
 
     #[test]
     fn empty_instance_completes_with_zero_cost() {
-        // n = 0: the loop never runs, the schedule is empty and both cost
-        // aggregates are zero (not NaN).
+        // n = 0: the loop never runs and the schedule is empty.
         let empty = Instance::new(2.0, vec![]).unwrap();
         let r = simulate(&empty, &FirstFit).unwrap();
         assert_eq!(r.events, 0);
-        assert_eq!(r.cost(&empty), 0.0);
-        assert_eq!(r.mean_cost(&empty), 0.0);
+        assert_eq!(r.schedule.weighted_completion_cost(&empty), 0.0);
     }
 
     #[test]
-    fn zero_total_weight_mean_cost_is_zero_not_nan() {
-        let i = Instance::builder(2.0)
-            .task(1.0, 0.0, 1.0)
-            .task(1.0, 0.0, 2.0)
+    fn heterogeneous_machines_are_refused() {
+        let related = Instance::builder(0.0)
+            .task(2.0, 1.0, 1.0)
+            .speeds(vec![2.0, 1.0])
             .build()
             .unwrap();
-        let r = simulate(&i, &FirstFit).unwrap();
-        assert_eq!(r.cost(&i), 0.0);
-        // Σ wᵢCᵢ / Σ wᵢ would be 0/0; the guard returns zero.
-        assert_eq!(r.mean_cost(&i), 0.0);
-        assert!(r.mean_cost(&i).is_finite());
+        assert!(matches!(
+            simulate(&related, &FirstFit),
+            Err(RuleError::Instance(_))
+        ));
     }
 
     #[test]
@@ -280,7 +191,6 @@ mod tests {
             .unwrap();
         let r = simulate(&i, &Even).unwrap();
         r.schedule.validate(&i).unwrap(); // zero tolerance
-        assert_eq!(r.cost(&i), r.schedule.weighted_completion_cost(&i));
     }
 
     #[test]
@@ -322,7 +232,7 @@ mod tests {
         let timed = inst().with_arrivals(vec![0.0, 1.0]).unwrap();
         assert!(matches!(
             simulate(&timed, &Lazy),
-            Err(SimError::Stalled { at }) if at >= 1.0
+            Err(RuleError::Stalled { at, .. }) if at >= 1.0
         ));
     }
 

@@ -5,13 +5,14 @@
 //! happen. The allocation rules and the event loop that runs them live in
 //! `malleable-core`; this crate is their online face:
 //!
-//! * [`engine`] — [`simulate`] runs an
-//!   [`AllocationRule`](malleable_core::policy::AllocationRule) through
+//! * [`engine`] — [`simulate`] is the uniform-machine guard in front of
 //!   the workspace's one event loop
-//!   ([`malleable_core::policy::rules::run_rule`]), which shows the rule
+//!   ([`malleable_core::policy::rules::run_rule`]): it runs an
+//!   [`AllocationRule`](malleable_core::policy::AllocationRule), shows it
 //!   only observable state (weights, caps, processed volume — never
 //!   remaining volume), advances between completion and arrival events,
-//!   and checks every share vector against the machine model.
+//!   checks every share vector against the machine model, and returns
+//!   the loop's own `RuleRun` or `RuleError`.
 //! * [`policies`] — the online-capable rules by name: WDEQ, DEQ
 //!   (unweighted), weighted-share-without-redistribution (the WRR
 //!   analogue) and a weight-priority baseline.
@@ -29,5 +30,5 @@ pub mod metrics;
 pub mod policies;
 
 pub use bandwidth::{BandwidthReport, BandwidthScenario, Worker};
-pub use engine::{simulate, SimError, SimResult};
+pub use engine::simulate;
 pub use metrics::{metrics, ScheduleMetrics};

@@ -171,8 +171,14 @@ mod tests {
             .task(9.0, 1.0, 10.0)
             .build()
             .unwrap();
-        let wdeq = simulate(&i, &WdeqRule).unwrap().cost(&i);
-        let naive = simulate(&i, &ShareNoRedistributionRule).unwrap().cost(&i);
+        let wdeq = simulate(&i, &WdeqRule)
+            .unwrap()
+            .schedule
+            .weighted_completion_cost(&i);
+        let naive = simulate(&i, &ShareNoRedistributionRule)
+            .unwrap()
+            .schedule
+            .weighted_completion_cost(&i);
         assert!(
             wdeq < naive - 1e-9,
             "redistribution should help: wdeq {wdeq} vs naive {naive}"

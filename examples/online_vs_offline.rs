@@ -46,7 +46,7 @@ fn main() {
             let name = rule.name().to_string();
             let r = simulate(&instance, rule).expect("policy run");
             r.schedule.validate(&instance).expect("engine output valid");
-            rows.push((name, r.cost(&instance)));
+            rows.push((name, r.schedule.weighted_completion_cost(&instance)));
         }
 
         println!("  clairvoyant optimum        : {:.4}", opt.cost);

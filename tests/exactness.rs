@@ -15,9 +15,8 @@ use malleable::core::algos::parametric::{
 };
 use malleable::core::algos::waterfill::wf_feasible;
 use malleable::core::algos::waterfill_fast::wf_feasible_grouped;
-use malleable::core::algos::wdeq::{
-    certificate_of, wdeq_completions, wdeq_run, wdeq_run_reference,
-};
+use malleable::core::algos::wdeq::{certificate_of, wdeq_completions, wdeq_run};
+use malleable::core::policy::rules::run_rule;
 use malleable::prelude::*;
 use malleable::workloads::seed_batch;
 use numkit::{Scalar, Tolerance};
@@ -372,22 +371,30 @@ fn warm_and_cold_release_cmax_agree_bit_exactly_at_rational() {
 }
 
 /// Assert the event-driven WDEQ lane reproduces the quadratic reference
-/// **bit-for-bit** at `Rational`: full schedule (column starts, ends, and
-/// per-task rates), completion times, and the Lemma-2 volume split — not
-/// just costs. The completions-only lane must match the full run, too.
+/// — the per-event recompute loop `run_rule(&WdeqRule)` — **bit-for-bit**
+/// at `Rational`: full schedule (column starts, ends, and per-task rates),
+/// completion times, and the Lemma-2 volume split (`V − limited` is the
+/// full-allocation side) — not just costs. The completions-only lane must
+/// match the full run, too.
 fn assert_wdeq_lanes_bit_equal(exact: &Instance<Rational>, ctx: &str) {
     let fast = wdeq_run(exact).unwrap_or_else(|e| panic!("{ctx}: fast lane {e}"));
-    let slow = wdeq_run_reference(exact).unwrap_or_else(|e| panic!("{ctx}: reference {e}"));
+    let slow = run_rule(exact, &WdeqRule).unwrap_or_else(|e| panic!("{ctx}: reference {e}"));
     assert_eq!(
         fast.schedule.completions, slow.schedule.completions,
         "{ctx}: completion times diverge"
     );
+    let full: Vec<Rational> = exact
+        .tasks
+        .iter()
+        .zip(&slow.limited)
+        .map(|(t, l)| t.volume.clone() - l.clone())
+        .collect();
     assert_eq!(
-        fast.full_volumes, slow.full_volumes,
+        fast.full_volumes, full,
         "{ctx}: saturated volume split diverges"
     );
     assert_eq!(
-        fast.limited_volumes, slow.limited_volumes,
+        fast.limited_volumes, slow.limited,
         "{ctx}: limited volume split diverges"
     );
     assert_eq!(
@@ -479,11 +486,9 @@ fn wdeq_zero_weight_rejected_identically_by_both_lanes() {
         .build()
         .unwrap();
     let fast = wdeq_run(&inst);
-    let slow = wdeq_run_reference(&inst);
     let lane = wdeq_completions(&inst);
-    // All three lanes refuse a weightless task (it would starve forever
-    // under equipartition), with the same error.
-    assert_eq!(format!("{:?}", fast), format!("{:?}", slow));
+    // Both event-driven lanes refuse a weightless task (it would starve
+    // forever under equipartition), with the same error.
     assert_eq!(format!("{:?}", fast), format!("{:?}", lane));
     assert!(fast.is_err(), "zero weight must be rejected");
 }

@@ -73,10 +73,60 @@ struct Answer<S: Scalar> {
     schedule: ColumnSchedule<S>,
 }
 
-/// Every capable registry policy on every clairvoyant family, and every
-/// online policy through the event engine on the streaming families.
+/// A task that runs below the float tolerance's `abs` throughout: on
+/// P = 1, T0 (V = 10⁻¹³, w = 10⁻¹²) shares with two unit tasks, so WDEQ
+/// runs it at ~5·10⁻¹³ and finishes it at 0.2, the others at 2.
+fn tiny_rate_fixture<S: Scalar>() -> Instance<S> {
+    Instance::builder(1.0)
+        .task(1e-13, 1e-12, 1.0)
+        .task(1.0, 1.0, 1.0)
+        .task(1.0, 1.0, 1.0)
+        .build()
+        .expect("valid fixture")
+        .to_scalar()
+}
+
+/// The registry policies whose answers on [`tiny_rate_fixture`] validate.
+/// Left out: the Water-Filling pourers (`wf`, `wf-fast`, `makespan`,
+/// `lmax-height`, `lmax-parametric`), which drop rates ≤ `abs`, and
+/// `priority`, whose replay declares T0 done without running it.
+const TINY_RATE_POLICIES: &[&str] = &[
+    "wdeq",
+    "deq",
+    "share-no-redistribution",
+    "greedy-smith",
+    "greedy-delta-desc",
+    "greedy-delta-asc",
+    "greedy-height-desc",
+    "greedy-wheight-desc",
+    "greedy-input",
+    "best-greedy",
+    "makespan-parametric",
+    "wdeq-related",
+    "wf-related",
+    "greedy-smith-related",
+    "greedy-lpt-related",
+    "greedy-eligibility-related",
+    "lmax-parametric-related",
+];
+
+/// Every capable registry policy on every clairvoyant family, every
+/// online policy through the event engine on the streaming families, and
+/// the policies of [`TINY_RATE_POLICIES`] on [`tiny_rate_fixture`].
 fn answers<S: Scalar>(n: usize, seeds: &[u64]) -> Vec<Answer<S>> {
-    let mut out = Vec::new();
+    let instance = tiny_rate_fixture::<S>();
+    let mut out: Vec<Answer<S>> = TINY_RATE_POLICIES
+        .iter()
+        .map(|&name| Answer {
+            ctx: format!("{name} on the tiny-rate fixture"),
+            schedule: policy::by_name::<S>(name)
+                .expect("registered")
+                .run(&instance)
+                .unwrap_or_else(|e| panic!("{name} on the tiny-rate fixture: {e}"))
+                .schedule,
+            instance: instance.clone(),
+        })
+        .collect();
     for spec in every_family(n) {
         for &seed in seeds {
             let instance: Instance<S> = generate(&spec, seed).to_scalar();
@@ -245,7 +295,11 @@ fn reference_validate<S: Scalar>(
         let last_alloc = s
             .columns
             .iter()
-            .filter(|c| c.len() > tol.abs && c.rate_of(id) > tol.abs)
+            .filter(|c| {
+                let rate = c.rate_of(id);
+                c.len() > tol.abs
+                    && (rate > tol.abs || (rate.is_positive() && c.start < s.completions[id.0]))
+            })
             .map(|c| c.end.clone())
             .fold(S::zero(), S::max_of);
         if !tol.eq(last_alloc.clone(), s.completions[id.0].clone()) {
@@ -434,4 +488,35 @@ fn corrupted_answers_are_rejected_with_the_implied_error() {
         narrowed > 0,
         "no restricted answer took the eligibility corruption"
     );
+}
+
+#[test]
+fn tiny_rate_task_validates_and_a_moved_completion_does_not() {
+    let inst = tiny_rate_fixture::<f64>();
+    for name in ["wdeq", "wdeq-related"] {
+        let s = policy::by_name::<f64>(name)
+            .expect("registered")
+            .run(&inst)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .schedule;
+        verdict(name, &s, &inst).unwrap_or_else(|e| panic!("{name} invalid: {e}"));
+        for (c, want) in s.completions.iter().zip([0.2, 2.0, 2.0]) {
+            assert!(
+                (c - want).abs() < 1e-9,
+                "{name}: completion {c}, want {want}"
+            );
+        }
+        // T0's last positive rate ends at 0.2: a completion recorded
+        // earlier or later is still a lie.
+        for moved in [0.1, 0.5] {
+            let mut m = s.clone();
+            m.completions[0] = moved;
+            match verdict(name, &m, &inst) {
+                Err(ScheduleError::AllocationAfterCompletion { task, .. }) => {
+                    assert_eq!(task, TaskId(0), "{name}")
+                }
+                other => panic!("{name}: completion moved to {moved} gave {other:?}"),
+            }
+        }
+    }
 }
