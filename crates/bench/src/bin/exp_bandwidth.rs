@@ -26,7 +26,6 @@ use malleable_core::policy::rules::{
 use malleable_core::schedule::convert::step_to_column;
 use malleable_sim::bandwidth::{BandwidthScenario, Worker};
 use malleable_workloads::{generate, seed_batch, Spec};
-use numkit::Tolerance;
 
 fn scenario_from_seed(n: usize, seed: u64) -> BandwidthScenario {
     let inst = generate(
@@ -104,7 +103,7 @@ fn main() {
             }
             // Offline clairvoyant baseline: greedy with Smith's order.
             let gs = greedy_schedule(&inst, &smith_order(&inst)).expect("greedy");
-            let cs = step_to_column(&gs, Tolerance::for_instance(n));
+            let cs = step_to_column(&gs);
             let rep = sc.report("offline", &cs, &inst, horizon);
             let ident = (rep.throughput - (horizon * total_rate - rep.weighted_completion)).abs()
                 / (1.0 + rep.throughput.abs());

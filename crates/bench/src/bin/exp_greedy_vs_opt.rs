@@ -28,7 +28,6 @@ use malleable_core::algos::greedy::greedy_schedule;
 use malleable_core::schedule::convert::step_to_column;
 use malleable_opt::brute::best_greedy_exhaustive;
 use malleable_workloads::{generate, seed_batch, Spec};
-use numkit::Tolerance;
 
 fn main() {
     let instances = instance_count(500, 10_000);
@@ -49,7 +48,7 @@ fn main() {
             }
         })?;
         let step = greedy_schedule(inst, &order)?;
-        Ok(step_to_column(&step, Tolerance::for_instance(inst.n())))
+        Ok(step_to_column(&step))
     });
 
     let mut table = Table::new(&[

@@ -10,6 +10,11 @@
 //! paper's 10,000-instance experiment, reproduced in this repository's
 //! harness) says some greedy schedule is optimal on *every* instance.
 //!
+//! The availability profile is one exact staircase: allocating a task is
+//! a single forward walk over its pieces (O(k) for `k` pieces), and
+//! neighbouring pieces merge only when their availabilities are exactly
+//! equal, so no tolerance can let capacity drift between tasks.
+//!
 //! Generic over the scalar: the availability profile only adds, subtracts
 //! and divides, so the exact instantiation reproduces the paper's symbolic
 //! greedy runs (Conjecture 13 is checked through this code path).
@@ -17,15 +22,37 @@
 use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
 use crate::schedule::step::{Segment, StepSchedule};
-use numkit::{Scalar, Tolerance};
+use numkit::Scalar;
 
-/// Remaining-capacity profile: piecewise-constant availability over
-/// `[0, horizon)` plus implicit full capacity `P` afterwards.
+/// One flat step of a capacity staircase: `height` over `[start, end)`.
+/// Greedy(σ) keeps available capacity in it, integer Water-Filling
+/// (`waterfill_int`) occupied capacity.
+#[derive(Debug, Clone)]
+pub(crate) struct Piece<S> {
+    pub(crate) start: S,
+    pub(crate) end: S,
+    pub(crate) height: S,
+}
+
+/// Append `piece` to a contiguous staircase: an empty piece is dropped,
+/// and a piece merges into its predecessor only when both heights are
+/// exactly equal.
+pub(crate) fn push_piece<S: Scalar>(profile: &mut Vec<Piece<S>>, piece: Piece<S>) {
+    if piece.end <= piece.start {
+        return;
+    }
+    match profile.last_mut() {
+        Some(prev) if prev.height == piece.height => prev.end = piece.end,
+        _ => profile.push(piece),
+    }
+}
+
+/// Remaining-capacity profile: contiguous pieces of availability from
+/// `t = 0`, then implicit full capacity `P` after the last one.
 #[derive(Debug, Clone)]
 pub struct AvailProfile<S = f64> {
     p: S,
-    /// `(start, end, available)` with contiguous intervals from 0.
-    intervals: Vec<(S, S, S)>,
+    pieces: Vec<Piece<S>>,
 }
 
 impl<S: Scalar> AvailProfile<S> {
@@ -33,137 +60,80 @@ impl<S: Scalar> AvailProfile<S> {
     pub fn new(p: S) -> Self {
         AvailProfile {
             p,
-            intervals: Vec::new(),
+            pieces: Vec::new(),
         }
-    }
-
-    /// Availability at time `t`.
-    pub fn available_at(&self, t: &S) -> S {
-        for (s, e, a) in &self.intervals {
-            if *s <= *t && *t < *e {
-                return a.clone();
-            }
-        }
-        self.p.clone()
-    }
-
-    /// End of the explicitly tracked region.
-    pub fn horizon(&self) -> S {
-        self.intervals
-            .last()
-            .map_or(S::zero(), |(_, e, _)| e.clone())
     }
 
     /// Greedily allocate a task with cap `delta` and work `volume`:
     /// rate `min(delta, available(t))` from `t = 0` until completion.
-    /// Returns the task's segments (gaps skipped) and its completion time,
-    /// and subtracts the consumed capacity from the profile.
-    pub fn allocate(&mut self, delta: S, volume: S, tol: &Tolerance<S>) -> (Vec<(S, S, S)>, S) {
+    /// Returns the task's segments, one per piece it runs in (gaps
+    /// skipped), and subtracts them from the profile in the same walk.
+    pub fn allocate(&mut self, delta: S, volume: S) -> Vec<Segment<S>> {
         debug_assert!(delta.is_positive() && volume.is_positive());
         let cap = delta.min_of(self.p.clone());
-        let mut segs: Vec<(S, S, S)> = Vec::new(); // (start, end, rate)
+        let mut segs: Vec<Segment<S>> = Vec::new();
+        let mut next: Vec<Piece<S>> = Vec::with_capacity(self.pieces.len() + 2);
         let mut acc = S::zero();
-        let slack = tol.slack(volume.clone(), S::zero());
-        let completion;
-        // Consumed spans, kept for the profile update after the walk.
-        let mut consumed: Vec<(S, S, S)> = Vec::new();
-        // Walk explicit intervals, then the implicit tail.
-        let mut idx = 0;
-        let mut cursor = S::zero();
-        loop {
-            let (start, end, avail) = if idx < self.intervals.len() {
-                let iv = self.intervals[idx].clone();
-                idx += 1;
-                iv
-            } else {
-                // Implicit tail: full capacity, long enough to finish.
-                let start = self.horizon().max_of(cursor.clone());
-                let rate = cap.clone().min_of(self.p.clone());
-                debug_assert!(rate.is_positive());
-                let need = (volume.clone() - acc.clone()).max_of(S::zero()) / rate;
-                (start.clone(), start + need + S::one(), self.p.clone())
-            };
-            cursor = end.clone();
-            let rate = cap.clone().min_of(avail);
-            if rate <= tol.abs {
-                continue; // fully busy interval: the task waits
-            }
-            let span = end.clone() - start.clone();
-            let vol_here = rate.clone() * span;
-            if acc.clone() + vol_here.clone() + slack.clone() >= volume {
-                // Finishes inside this interval.
-                let need = ((volume.clone() - acc.clone()) / rate.clone()).max_of(S::zero());
-                completion = start.clone() + need;
-                if completion.clone() - start.clone() > tol.abs {
-                    segs.push((start.clone(), completion.clone(), rate.clone()));
-                    consumed.push((start, completion.clone(), rate));
-                }
-                break;
-            }
-            acc = acc + vol_here;
-            segs.push((start.clone(), end.clone(), rate.clone()));
-            consumed.push((start, end, rate));
-        }
-        self.subtract(&consumed, completion.clone(), tol);
-        (segs, completion)
-    }
-
-    /// Subtract consumed `(start, end, rate)` spans and re-normalize,
-    /// extending the explicit region to at least `up_to`.
-    fn subtract(&mut self, consumed: &[(S, S, S)], up_to: S, tol: &Tolerance<S>) {
-        // Collect all boundaries.
-        let mut cuts: Vec<S> = vec![S::zero()];
-        for (s, e, _) in &self.intervals {
-            cuts.push(s.clone());
-            cuts.push(e.clone());
-        }
-        for (s, e, _) in consumed {
-            cuts.push(s.clone());
-            cuts.push(e.clone());
-        }
-        cuts.push(up_to);
-        cuts.sort_by(S::total_cmp_s);
-        cuts.dedup_by(|a, b| tol.eq(a.clone(), b.clone()));
-
-        let half = S::from_f64(0.5);
-        let mut next: Vec<(S, S, S)> = Vec::with_capacity(cuts.len());
-        for w in cuts.windows(2) {
-            let (s, e) = (&w[0], &w[1]);
-            if e.clone() - s.clone() <= tol.abs {
+        let mut done = false;
+        for piece in std::mem::take(&mut self.pieces) {
+            let rate = cap.clone().min_of(piece.height.clone());
+            if done || !rate.is_positive() {
+                push_piece(&mut next, piece); // finished, or fully busy: the task waits
                 continue;
             }
-            let mid = half.clone() * (s.clone() + e.clone());
-            let mut avail = self.available_at(&mid);
-            for (cs, ce, r) in consumed {
-                if *cs <= mid && mid < *ce {
-                    avail = avail - r.clone();
-                }
+            let vol_here = rate.clone() * (piece.end.clone() - piece.start.clone());
+            if acc.clone() + vol_here.clone() < volume {
+                acc = acc + vol_here;
+                consume(&mut next, &mut segs, piece, rate);
+                continue;
             }
-            debug_assert!(
-                avail.clone() + tol.slack(self.p.clone(), S::zero()) * S::from_int(16) >= S::zero(),
-                "greedy consumed more than available: {avail:?}"
-            );
-            let avail = avail.max_of(S::zero());
-            match next.last_mut() {
-                Some(prev)
-                    if tol.eq(prev.2.clone(), avail.clone())
-                        && tol.eq(prev.1.clone(), s.clone()) =>
-                {
-                    prev.1 = e.clone()
-                }
-                _ => next.push((s.clone(), e.clone(), avail)),
-            }
+            // Finishes inside this piece: split it at the completion (the
+            // clamp only catches float rounding past the piece's end).
+            let completion = (piece.start.clone() + (volume.clone() - acc.clone()) / rate.clone())
+                .min_of(piece.end.clone());
+            let rest = Piece {
+                start: completion.clone(),
+                ..piece.clone()
+            };
+            let end = completion;
+            consume(&mut next, &mut segs, Piece { end, ..piece }, rate);
+            push_piece(&mut next, rest);
+            done = true;
         }
-        // Drop a trailing full-capacity run (it equals the implicit tail).
-        while let Some((_, _, a)) = next.last() {
-            if tol.eq(a.clone(), self.p.clone()) {
-                next.pop();
-            } else {
-                break;
-            }
+        if !done {
+            // Outlives the explicit pieces: run at the cap from the horizon.
+            let start = next.last().map_or_else(S::zero, |p| p.end.clone());
+            let end = start.clone() + (volume - acc) / cap.clone();
+            let height = self.p.clone();
+            consume(&mut next, &mut segs, Piece { start, end, height }, cap);
         }
-        self.intervals = next;
+        // A trailing run at full capacity is the implicit tail.
+        while next.last().is_some_and(|p| p.height == self.p) {
+            next.pop();
+        }
+        self.pieces = next;
+        segs
     }
+}
+
+/// The task runs at `rate` over `span` (whose height is the availability
+/// there): record its segment and what it leaves of the span.
+fn consume<S: Scalar>(
+    next: &mut Vec<Piece<S>>,
+    segs: &mut Vec<Segment<S>>,
+    span: Piece<S>,
+    rate: S,
+) {
+    if span.end <= span.start {
+        return;
+    }
+    segs.push(Segment {
+        start: span.start.clone(),
+        end: span.end.clone(),
+        procs: rate.clone(),
+    });
+    let height = span.height.clone() - rate;
+    push_piece(next, Piece { height, ..span });
 }
 
 /// Run Greedy(σ) and return the per-task step schedule.
@@ -198,20 +168,11 @@ pub fn greedy_schedule<S: Scalar>(
             reason: format!("order is not a permutation of 0..{}", instance.n()),
         });
     }
-    let tol = Tolerance::<S>::for_instance(instance.n());
     let mut profile = AvailProfile::new(instance.p.clone());
     let mut out = StepSchedule::empty(instance.p.clone(), instance.n());
     for &id in order {
         let t = instance.task(id);
-        let (segs, _c) = profile.allocate(t.delta.clone(), t.volume.clone(), &tol);
-        out.allocs[id.0] = segs
-            .into_iter()
-            .map(|(s, e, r)| Segment {
-                start: s,
-                end: e,
-                procs: r,
-            })
-            .collect();
+        out.allocs[id.0] = profile.allocate(t.delta.clone(), t.volume.clone());
     }
     Ok(out)
 }
@@ -226,28 +187,28 @@ pub fn greedy_cost<S: Scalar>(
 
 /// Best greedy schedule over the standard heuristic orders
 /// (Smith, δ-descending/ascending, height, weighted height, input order).
-/// Returns `(label, order, cost)` of the winner.
+/// Returns `(label, order, cost, schedule)` of the winner.
 pub fn best_heuristic_greedy<S: Scalar>(
     instance: &Instance<S>,
-) -> Result<(&'static str, Vec<TaskId>, S), ScheduleError> {
-    let mut best: Option<(&'static str, Vec<TaskId>, S)> = None;
+) -> Result<BestGreedy<S>, ScheduleError> {
+    let mut best: Option<BestGreedy<S>> = None;
     for (name, order) in crate::algos::orders::heuristic_orders(instance) {
-        let cost = greedy_cost(instance, &order)?;
-        if best.as_ref().is_none_or(|(_, _, c)| cost < *c) {
-            best = Some((name, order, cost));
+        let schedule = greedy_schedule(instance, &order)?;
+        let cost = schedule.weighted_completion_cost(instance);
+        if best.as_ref().is_none_or(|(_, _, c, _)| cost < *c) {
+            best = Some((name, order, cost, schedule));
         }
     }
     Ok(best.expect("at least one heuristic order"))
 }
 
+/// The winner of [`best_heuristic_greedy`]: `(label, order, cost, schedule)`.
+pub type BestGreedy<S> = (&'static str, Vec<TaskId>, S, StepSchedule<S>);
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algos::orders::smith_order;
-
-    fn tol() -> Tolerance {
-        Tolerance::default().scaled(10.0)
-    }
 
     #[test]
     fn single_task_runs_flat_out() {
@@ -350,7 +311,7 @@ mod tests {
             .task(0.5, 3.0, 1.0)
             .build()
             .unwrap();
-        let (_, order, cost) = best_heuristic_greedy(&inst).unwrap();
+        let (_, order, cost, _) = best_heuristic_greedy(&inst).unwrap();
         for (_, o) in crate::algos::orders::heuristic_orders(&inst) {
             assert!(greedy_cost(&inst, &o).unwrap() >= cost - 1e-9);
         }
@@ -374,7 +335,25 @@ mod tests {
         let order: Vec<TaskId> = (0..5).map(TaskId).collect();
         let s = greedy_schedule(&inst, &order).unwrap();
         s.validate(&inst).unwrap();
-        let _ = tol();
+    }
+
+    #[test]
+    fn profile_is_an_exact_staircase() {
+        // After every task: contiguous non-empty pieces from 0, no two
+        // equal neighbours, and no trailing full-capacity piece.
+        use bigratio::Rational;
+        let q = Rational::from_f64_exact;
+        let mut profile = AvailProfile::new(q(3.0));
+        for (v, d) in [(2.0, 2.0), (1.0, 3.0), (4.0, 1.0), (1.5, 2.0), (0.5, 1.0)] {
+            profile.allocate(q(d), q(v));
+            let pieces = &profile.pieces;
+            assert!(pieces.first().is_none_or(|p| p.start == q(0.0)));
+            assert!(pieces.iter().all(|p| p.start < p.end));
+            assert!(pieces
+                .windows(2)
+                .all(|w| w[0].end == w[1].start && w[0].height != w[1].height));
+            assert!(pieces.last().is_none_or(|p| p.height != q(3.0)));
+        }
     }
 
     #[test]

@@ -16,25 +16,23 @@
 //! (`Nᵢ₊₁ + Mᵢ₊₁ ≤ Nᵢ + Mᵢ + 3`) and the `≤ 3n` preemption bound of
 //! Theorem 10.
 //!
+//! The staircase is built from the same pieces as Greedy(σ)'s
+//! availability profile ([`crate::algos::greedy`]): every breakpoint is
+//! kept exactly, and neighbouring pieces merge only when their heights are
+//! exactly equal.
+//!
 //! Generic over the scalar like the fractional algorithm: the `f64` path
 //! accepts `P`/`δ` that are integral up to the instance-scaled tolerance
 //! (values like `4.000000000000001` produced by upstream float arithmetic
 //! are snapped, not rejected), while an exact field demands — and
 //! delivers — exact integrality.
 
+use crate::algos::greedy::{push_piece, Piece};
 use crate::algos::waterfill::pour_level;
 use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
 use crate::schedule::step::{Segment, StepSchedule};
 use numkit::{Scalar, Tolerance};
-
-/// One flat piece of the occupancy staircase.
-#[derive(Debug, Clone)]
-struct Piece<S> {
-    start: S,
-    end: S,
-    height: S, // integer-valued
-}
 
 /// Integer Water-Filling: given integer `P` and integer caps `δᵢ`,
 /// construct an integer step schedule in which task `i` completes at (or,
@@ -100,7 +98,7 @@ pub fn water_filling_integer<S: Scalar>(
 
         // Extend the staircase domain to C_i with empty occupancy.
         let domain_end = profile.last().map_or_else(S::zero, |s| s.end.clone());
-        if c_i > domain_end.clone() + tol.abs.clone() {
+        if c_i > domain_end {
             match profile.last_mut() {
                 Some(last) if last.height.is_zero() => last.end = c_i.clone(),
                 _ => profile.push(Piece {
@@ -168,88 +166,30 @@ pub fn water_filling_integer<S: Scalar>(
         // Walk pieces, build the new staircase and the task's segments.
         let mut new_profile: Vec<Piece<S>> = Vec::with_capacity(profile.len() + 2);
         let mut segs: Vec<Segment<S>> = Vec::new();
-        for piece in &profile {
-            let len = piece.end.clone() - piece.start.clone();
-            if len <= tol.abs {
-                continue;
-            }
+        for piece in profile {
             if is_c(&piece.height) {
-                push_piece(
-                    &mut new_profile,
-                    Piece {
-                        start: piece.start.clone(),
-                        end: piece.end.clone(),
-                        height: piece.height.clone() + cap.clone(),
-                    },
-                    &tol,
-                );
-                push_seg(
-                    &mut segs,
-                    piece.start.clone(),
-                    piece.end.clone(),
-                    cap.clone(),
-                    &tol,
-                );
+                let height = piece.height.clone() + cap.clone();
+                raise(&mut new_profile, &mut segs, piece, height, cap.clone());
             } else if is_b(&piece.height) {
                 // Prefix at hi while `extra` lasts, then lo.
-                let take = extra.clone().min_of(len.clone());
-                if take > tol.abs {
-                    let mid = piece.start.clone() + take.clone();
-                    push_piece(
-                        &mut new_profile,
-                        Piece {
-                            start: piece.start.clone(),
-                            end: mid.clone(),
-                            height: hi.clone(),
-                        },
-                        &tol,
-                    );
-                    push_seg(
-                        &mut segs,
-                        piece.start.clone(),
-                        mid.clone(),
-                        hi.clone() - piece.height.clone(),
-                        &tol,
-                    );
-                    if mid < piece.end.clone() - tol.abs.clone() {
-                        push_piece(
-                            &mut new_profile,
-                            Piece {
-                                start: mid.clone(),
-                                end: piece.end.clone(),
-                                height: lo.clone(),
-                            },
-                            &tol,
-                        );
-                        push_seg(
-                            &mut segs,
-                            mid,
-                            piece.end.clone(),
-                            lo.clone() - piece.height.clone(),
-                            &tol,
-                        );
-                    }
-                    extra = extra - take;
-                } else {
-                    push_piece(
-                        &mut new_profile,
-                        Piece {
-                            start: piece.start.clone(),
-                            end: piece.end.clone(),
-                            height: lo.clone(),
-                        },
-                        &tol,
-                    );
-                    push_seg(
-                        &mut segs,
-                        piece.start.clone(),
-                        piece.end.clone(),
-                        lo.clone() - piece.height.clone(),
-                        &tol,
-                    );
-                }
+                let len = piece.end.clone() - piece.start.clone();
+                let take = extra.clone().min_of(len);
+                extra = extra - take.clone();
+                let mid = piece.start.clone() + take;
+                let head = Piece {
+                    end: mid.clone(),
+                    ..piece.clone()
+                };
+                let up = hi.clone() - piece.height.clone();
+                raise(&mut new_profile, &mut segs, head, hi.clone(), up);
+                let down = lo.clone() - piece.height.clone();
+                let tail = Piece {
+                    start: mid,
+                    ..piece
+                };
+                raise(&mut new_profile, &mut segs, tail, lo.clone(), down);
             } else {
-                push_piece(&mut new_profile, piece.clone(), &tol);
+                push_piece(&mut new_profile, piece);
             }
         }
         profile = new_profile;
@@ -295,22 +235,23 @@ fn snap_near_integer<S: Scalar>(x: S, tol: &Tolerance<S>) -> S {
     }
 }
 
-fn push_piece<S: Scalar>(profile: &mut Vec<Piece<S>>, piece: Piece<S>, tol: &Tolerance<S>) {
-    if piece.end.clone() - piece.start.clone() <= tol.abs {
-        return;
-    }
-    match profile.last_mut() {
-        Some(prev)
-            if prev.height == piece.height && tol.eq(prev.end.clone(), piece.start.clone()) =>
-        {
-            prev.end = piece.end;
-        }
-        _ => profile.push(piece),
-    }
+/// Lift `piece` of the staircase to `height`, the task running `procs`
+/// processors over it.
+fn raise<S: Scalar>(
+    profile: &mut Vec<Piece<S>>,
+    segs: &mut Vec<Segment<S>>,
+    piece: Piece<S>,
+    height: S,
+    procs: S,
+) {
+    push_seg(segs, piece.start.clone(), piece.end.clone(), procs);
+    push_piece(profile, Piece { height, ..piece });
 }
 
-fn push_seg<S: Scalar>(segs: &mut Vec<Segment<S>>, start: S, end: S, procs: S, tol: &Tolerance<S>) {
-    if end.clone() - start.clone() <= tol.abs || procs <= tol.abs {
+/// Append a segment: empty or zero-count ones are dropped, and a segment
+/// merges into its predecessor only when it continues it exactly.
+fn push_seg<S: Scalar>(segs: &mut Vec<Segment<S>>, start: S, end: S, procs: S) {
+    if end <= start || !procs.is_positive() {
         return;
     }
     debug_assert!(
@@ -319,9 +260,7 @@ fn push_seg<S: Scalar>(segs: &mut Vec<Segment<S>>, start: S, end: S, procs: S, t
     );
     let procs = procs.round_s();
     match segs.last_mut() {
-        Some(prev) if prev.procs == procs && tol.eq(prev.end.clone(), start.clone()) => {
-            prev.end = end;
-        }
+        Some(prev) if prev.procs == procs && prev.end == start => prev.end = end,
         _ => segs.push(Segment { start, end, procs }),
     }
 }

@@ -38,7 +38,7 @@ use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
 use crate::schedule::column::ColumnSchedule;
 use crate::schedule::convert::step_to_column;
-use numkit::{Scalar, Tolerance};
+use numkit::Scalar;
 use std::fmt;
 
 /// What a policy is allowed to know about the tasks it schedules.
@@ -319,9 +319,8 @@ impl<S: Scalar> SchedulingPolicy<S> for GreedyPolicy {
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
         instance.require_offline(SchedulingPolicy::<S>::name(self))?;
-        let tol = Tolerance::<S>::for_instance(instance.n());
         let step = greedy_schedule(instance, &self.order.order(instance))?;
-        Ok(plain(step_to_column(&step, tol)))
+        Ok(plain(step_to_column(&step)))
     }
 }
 
@@ -345,10 +344,8 @@ impl<S: Scalar> SchedulingPolicy<S> for BestHeuristicGreedy {
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
         instance.require_offline(SchedulingPolicy::<S>::name(self))?;
-        let tol = Tolerance::<S>::for_instance(instance.n());
-        let (_, order, _) = best_heuristic_greedy(instance)?;
-        let step = greedy_schedule(instance, &order)?;
-        Ok(plain(step_to_column(&step, tol)))
+        let (_, _, _, step) = best_heuristic_greedy(instance)?;
+        Ok(plain(step_to_column(&step)))
     }
 }
 

@@ -380,7 +380,7 @@ pub fn run_rule<S: Scalar>(
             }
             processed[i] = processed[i].clone() + inc.clone();
             remaining[i] = remaining[i].clone() - inc;
-            if remaining[i] <= tol.slack(instance.tasks[i].volume.clone(), S::zero()) {
+            if remaining[i] <= tol.rel.clone() * instance.tasks[i].volume.clone() {
                 remaining[i] = S::zero();
                 completions[i] = end.clone();
                 finished[i] = true;

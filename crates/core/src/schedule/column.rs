@@ -259,11 +259,15 @@ impl<S: Scalar> ColumnSchedule<S> {
                         }
                     }
                 }
-                // Any positive rate that starts before the completion ends
-                // some of the task's work, however small: a task may run
-                // below `abs` throughout. A rate at or below `abs` after
-                // the completion is noise, neither rejected nor recorded.
-                if long && (*rate > tol.abs || (rate.is_positive() && col.start < *completion)) {
+                // Any positive rate in a column of positive length that
+                // starts before the completion ends some of the task's
+                // work, however small: a task may run below `abs`
+                // throughout, or finish in a sliver column shorter than
+                // `abs`. A rate at or below `abs` after the completion is
+                // noise, neither rejected nor recorded.
+                if (long && *rate > tol.abs)
+                    || (rate.is_positive() && len.is_positive() && col.start < *completion)
+                {
                     a.last_end = a.last_end.clone().max_of(col.end.clone());
                 }
                 if rate.is_positive() {
@@ -333,9 +337,10 @@ impl<S: Scalar> ColumnSchedule<S> {
                 });
             }
         }
-        // Completion must coincide with the end of the last positive-rate,
-        // positive-length column of each task (a rate at or below `abs`
-        // counts only when it starts before the completion).
+        // Completion must coincide with the end of the last column that
+        // carries the task's work: a positive rate in a column longer than
+        // `abs`, or in any column of positive length that starts before the
+        // completion.
         for ((i, c), a) in self.completions.iter().enumerate().zip(&acc) {
             if !tol.eq(a.last_end.clone(), c.clone()) {
                 return Err(ScheduleError::AllocationAfterCompletion {
@@ -354,8 +359,8 @@ impl<S: Scalar> ColumnSchedule<S> {
 struct TaskAcc<S> {
     /// Area allocated so far, in column order.
     area: AreaSum<S>,
-    /// End of the last positive-rate, positive-length column so far (see
-    /// the completion check of `validate_with` for rates at or below `abs`).
+    /// End of the last column so far that carries the task's work (see
+    /// the completion check of `validate_with`).
     last_end: S,
     /// `j + 1` for the last column `j` that listed the task (0 = none).
     seen_in: usize,
@@ -519,6 +524,45 @@ mod tests {
                 assert_eq!(task, TaskId(0))
             }
             other => panic!("expected AllocationAfterCompletion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sliver_column_carrying_a_whole_task_validates() {
+        // P = 1: T0 runs [0, 1]; T1 (V = 10⁻¹³) runs alone in a column
+        // far shorter than the tolerance's `abs`.
+        let inst = Instance::builder(1.0)
+            .task(1.0, 1.0, 1.0)
+            .task(1e-13, 1.0, 1.0)
+            .build()
+            .unwrap();
+        let c = 1.0 + 1e-13;
+        let mut s = ColumnSchedule {
+            p: 1.0,
+            completions: vec![1.0, c],
+            columns: vec![
+                Column {
+                    start: 0.0,
+                    end: 1.0,
+                    rates: vec![(TaskId(0), 1.0)],
+                },
+                Column {
+                    start: 1.0,
+                    end: c,
+                    rates: vec![(TaskId(1), 1.0)],
+                },
+            ],
+        };
+        s.validate(&inst).unwrap();
+        // The sliver still pins T1's completion, earlier and later.
+        for moved in [0.5, 2.0] {
+            s.completions[1] = moved;
+            match s.validate(&inst) {
+                Err(ScheduleError::AllocationAfterCompletion { task, .. }) => {
+                    assert_eq!(task, TaskId(1))
+                }
+                other => panic!("moved to {moved}: expected AllocationAfterCompletion, {other:?}"),
+            }
         }
     }
 

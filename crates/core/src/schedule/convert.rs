@@ -201,18 +201,23 @@ pub fn column_to_step<S: Scalar>(
 /// within `δᵢ` and capacity `P` because averages of valid instantaneous
 /// allocations are valid (the paper's proof of Theorem 3).
 ///
+/// Every comparison is exact: two completions share a column boundary
+/// only when they are equal, and a task is listed in a column only when
+/// it has positive area there. Merging "nearly equal" completions would
+/// move a task's last sliver into the next column, after its completion.
+///
 /// Each task's time-sorted segments are walked once by a cursor as the
 /// columns advance, so the cost is O(columns · n + segments) rather than
 /// clipping every segment against every column.
-pub fn step_to_column<S: Scalar>(ss: &StepSchedule<S>, tol: Tolerance<S>) -> ColumnSchedule<S> {
+pub fn step_to_column<S: Scalar>(ss: &StepSchedule<S>) -> ColumnSchedule<S> {
     let completions = ss.completion_times();
     let mut bounds: Vec<S> = completions
         .iter()
-        .filter(|c| **c > tol.abs)
+        .filter(|c| c.is_positive())
         .cloned()
         .collect();
     bounds.sort_by(S::total_cmp_s);
-    bounds.dedup_by(|a, b| tol.eq(a.clone(), b.clone()));
+    bounds.dedup();
 
     let mut cursor = vec![0usize; ss.n()];
     let mut columns = Vec::with_capacity(bounds.len());
@@ -220,25 +225,23 @@ pub fn step_to_column<S: Scalar>(ss: &StepSchedule<S>, tol: Tolerance<S>) -> Col
     for b in &bounds {
         let l = b.clone() - prev.clone();
         let mut rates = Vec::new();
-        if l > tol.abs {
-            for (i, segs) in ss.allocs.iter().enumerate() {
-                // Segments ending by `prev` cannot reach this column or any
-                // later one.
-                let k = &mut cursor[i];
-                while segs.get(*k).is_some_and(|s| s.end <= prev) {
-                    *k += 1;
+        for (i, segs) in ss.allocs.iter().enumerate() {
+            // Segments ending by `prev` cannot reach this column or any
+            // later one.
+            let k = &mut cursor[i];
+            while segs.get(*k).is_some_and(|s| s.end <= prev) {
+                *k += 1;
+            }
+            let mut area = S::zero();
+            for s in segs[*k..].iter().take_while(|s| s.start < *b) {
+                let lo = s.start.clone().max_of(prev.clone());
+                let hi = s.end.clone().min_of(b.clone());
+                if hi > lo {
+                    area = area + s.procs.clone() * (hi - lo);
                 }
-                let mut area = S::zero();
-                for s in segs[*k..].iter().take_while(|s| s.start < *b) {
-                    let lo = s.start.clone().max_of(prev.clone());
-                    let hi = s.end.clone().min_of(b.clone());
-                    if hi > lo {
-                        area = area + s.procs.clone() * (hi - lo);
-                    }
-                }
-                if area > tol.abs.clone() * l.clone() {
-                    rates.push((TaskId(i), area / l.clone()));
-                }
+            }
+            if area.is_positive() {
+                rates.push((TaskId(i), area / l.clone()));
             }
         }
         columns.push(Column {
@@ -463,7 +466,7 @@ mod tests {
         assert_eq!(step.allocated_area(TaskId(0)), q(3.0));
         assert_eq!(step.allocated_area(TaskId(1)), q(4.5));
         step.validate(&inst).unwrap(); // zero tolerance
-        let back = step_to_column(&step, Tolerance::exact());
+        let back = step_to_column(&step);
         assert_eq!(back.allocated_area(TaskId(0)), q(3.0));
     }
 
@@ -499,7 +502,7 @@ mod tests {
     fn roundtrip_column_step_column() {
         let (inst, cs) = fractional_case();
         let step = column_to_step(&cs, &inst, tol()).unwrap();
-        let back = step_to_column(&step, tol());
+        let back = step_to_column(&step);
         back.validate(&inst).unwrap();
         // Completion times only improve through the integer conversion.
         for i in 0..2 {
@@ -533,7 +536,7 @@ mod tests {
             .task(2.0, 1.0, 1.0)
             .build()
             .unwrap();
-        let cs = step_to_column(&ss, tol());
+        let cs = step_to_column(&ss);
         cs.validate(&inst).unwrap();
         assert_eq!(cs.columns.len(), 2);
         assert!((cs.columns[0].rate_of(TaskId(0)) - 2.0).abs() < 1e-12);
@@ -598,7 +601,7 @@ mod tests {
     #[test]
     fn empty_schedules_convert() {
         let ss = StepSchedule::empty(2.0, 2);
-        let cs = step_to_column(&ss, tol());
+        let cs = step_to_column(&ss);
         assert!(cs.columns.is_empty());
         let g = assign_processors_stable(&ss, tol()).unwrap();
         assert_eq!(g.makespan(), 0.0);

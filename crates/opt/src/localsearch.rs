@@ -127,7 +127,7 @@ mod tests {
         let r = smith_plus_local_search(&inst, 3).unwrap();
         assert!(r.cost > 0.0);
         // Must at least match the best structural heuristic.
-        let (_, _, heuristic) =
+        let (_, _, heuristic, _) =
             malleable_core::algos::greedy::best_heuristic_greedy(&inst).unwrap();
         assert!(r.cost <= heuristic + 1e-9);
     }

@@ -80,14 +80,18 @@ proptest! {
 /// like the batch executor does) each record their own span stack; the
 /// merged trace keeps every thread balanced with no interleaved or
 /// orphaned spans, whether buffers drain via explicit flush or TLS exit.
+///
+/// The workers are joined through `JoinHandle::join`, which returns only
+/// after the thread's TLS destructors ran; `std::thread::scope` may return
+/// before them, racing the destructor flush against `finish`.
 #[test]
 fn parallel_threads_merge_cleanly() {
     let session = Session::start();
     let workers = 8u64;
     let spans_per_worker = 25u64;
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            scope.spawn(move || {
+    let handles: Vec<_> = (0..workers)
+        .map(|w| {
+            std::thread::spawn(move || {
                 for i in 0..spans_per_worker {
                     let mut cell = span_labeled("batch.cell", || format!("worker {w} cell {i}"));
                     cell.arg("i", i);
@@ -102,9 +106,12 @@ fn parallel_threads_merge_cleanly() {
                         flush_thread();
                     }
                 }
-            });
-        }
-    });
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("worker panicked");
+    }
     let trace = session.finish();
     let stats = trace.validate().expect("merged trace balanced per thread");
     assert_eq!(stats.spans as u64, workers * spans_per_worker * 2);

@@ -26,34 +26,28 @@ fn integer_instance_strategy() -> impl Strategy<Value = Instance> {
 }
 
 /// The averaging direction as a direct transcription: every task's every
-/// segment clipped against every column. `step_to_column` must match it
-/// bit for bit.
-fn step_to_column_reference(ss: &StepSchedule, tol: Tolerance) -> ColumnSchedule {
+/// segment clipped against every column, with exact comparisons.
+/// `step_to_column` must match it bit for bit.
+fn step_to_column_reference(ss: &StepSchedule) -> ColumnSchedule {
     let completions = ss.completion_times();
-    let mut bounds: Vec<f64> = completions
-        .iter()
-        .filter(|c| **c > tol.abs)
-        .cloned()
-        .collect();
+    let mut bounds: Vec<f64> = completions.iter().filter(|c| **c > 0.0).cloned().collect();
     bounds.sort_by(f64::total_cmp);
-    bounds.dedup_by(|a, b| tol.eq(*a, *b));
+    bounds.dedup();
     let mut columns = Vec::new();
     let mut prev = 0.0;
     for &b in &bounds {
         let l = b - prev;
         let mut rates = Vec::new();
-        if l > tol.abs {
-            for (i, segs) in ss.allocs.iter().enumerate() {
-                let mut area = 0.0;
-                for s in segs {
-                    let (lo, hi) = (s.start.max_of(prev), s.end.min_of(b));
-                    if hi > lo {
-                        area += s.procs * (hi - lo);
-                    }
+        for (i, segs) in ss.allocs.iter().enumerate() {
+            let mut area = 0.0;
+            for s in segs {
+                let (lo, hi) = (s.start.max_of(prev), s.end.min_of(b));
+                if hi > lo {
+                    area += s.procs * (hi - lo);
                 }
-                if area > tol.abs * l {
-                    rates.push((TaskId(i), area / l));
-                }
+            }
+            if area > 0.0 {
+                rates.push((TaskId(i), area / l));
             }
         }
         columns.push(Column {
@@ -138,8 +132,8 @@ proptest! {
         for step in [greedy, wrapped] {
             // `{:?}` prints every f64 losslessly, so equal strings are equal bits.
             prop_assert_eq!(
-                format!("{:?}", step_to_column(&step, tol)),
-                format!("{:?}", step_to_column_reference(&step, tol))
+                format!("{:?}", step_to_column(&step)),
+                format!("{:?}", step_to_column_reference(&step))
             );
         }
     }
@@ -198,10 +192,9 @@ proptest! {
 
     #[test]
     fn averaging_direction_keeps_costs(inst in integer_instance_strategy()) {
-        let tol = Tolerance::for_instance(inst.n());
         let order = smith_order(&inst);
         let step = greedy_schedule(&inst, &order).expect("greedy");
-        let cs = step_to_column(&step, tol);
+        let cs = step_to_column(&step);
         prop_assert!(cs.validate(&inst).is_ok());
         let a = step.weighted_completion_cost(&inst);
         let b = cs.weighted_completion_cost(&inst);

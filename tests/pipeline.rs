@@ -93,7 +93,7 @@ fn theorem3_roundtrip_preserves_validity_and_cost_direction() {
         gantt.validate(tol).expect("gantt valid");
         let step = malleable::core::schedule::convert::gantt_to_step(&gantt, inst.p, inst.n(), tol);
         step.validate(&inst).expect("step valid");
-        let back = step_to_column(&step, tol);
+        let back = step_to_column(&step);
         back.validate(&inst).expect("roundtrip valid");
 
         // Completion times can only improve through the conversion.

@@ -111,6 +111,24 @@ fn registry_names_resolve_and_stay_stable() {
     assert!(names.len() >= 20, "registry shrank to {}", names.len());
 }
 
+/// Float greedy answers on the paper's §V-A family that used to be
+/// invalid: tolerance merges in the availability profile let capacity
+/// drift past `P`, and a tolerance dedup of completions in
+/// `step_to_column` moved a task's last sliver after its completion.
+#[test]
+fn float_greedy_regressions_validate() {
+    for (name, seed) in [("greedy-smith", 2), ("greedy-height-desc", 1)] {
+        let inst = generate(&Spec::PaperUniform { n: 1000 }, seed);
+        let run = policy::by_name::<f64>(name)
+            .expect("registered")
+            .run(&inst)
+            .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
+        run.schedule
+            .validate(&inst)
+            .unwrap_or_else(|e| panic!("{name} seed {seed}: invalid schedule: {e}"));
+    }
+}
+
 #[test]
 fn exact_registry_matches_float_costs() {
     // The same policy at f64 and Rational must agree to float precision

@@ -117,3 +117,41 @@ fn restricted_replay_lanes_handle_three_hundred_tasks_in_budget() {
         );
     }
 }
+
+/// Every float Greedy(σ) policy validates at n = 2000 on the paper's
+/// §V-A family and on constant weights. The availability profile once
+/// merged "equal within ε" neighbours, and the drift put most answers at
+/// this size over capacity.
+#[cfg_attr(
+    debug_assertions,
+    ignore = "n = 2000 greedy sweep only runs in release builds"
+)]
+#[test]
+fn float_greedy_policies_validate_at_two_thousand_tasks() {
+    const GREEDY: &[&str] = &[
+        "greedy-smith",
+        "greedy-delta-desc",
+        "greedy-delta-asc",
+        "greedy-height-desc",
+        "greedy-wheight-desc",
+        "greedy-input",
+        "best-greedy",
+    ];
+    for spec in [
+        Spec::PaperUniform { n: 2000 },
+        Spec::ConstantWeight { n: 2000 },
+    ] {
+        for seed in 1..=3 {
+            let instance = generate(&spec, seed);
+            for name in GREEDY {
+                let policy = policy::by_name::<f64>(name).expect("registered policy");
+                let schedule = policy
+                    .schedule(&instance)
+                    .unwrap_or_else(|e| panic!("{name} on {}/{seed}: {e}", spec.label()));
+                schedule.validate(&instance).unwrap_or_else(|e| {
+                    panic!("{name} on {}/{seed}: invalid schedule: {e}", spec.label())
+                });
+            }
+        }
+    }
+}

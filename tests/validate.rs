@@ -88,12 +88,12 @@ fn tiny_rate_fixture<S: Scalar>() -> Instance<S> {
 
 /// The registry policies whose answers on [`tiny_rate_fixture`] validate.
 /// Left out: the Water-Filling pourers (`wf`, `wf-fast`, `makespan`,
-/// `lmax-height`, `lmax-parametric`), which drop rates ≤ `abs`, and
-/// `priority`, whose replay declares T0 done without running it.
+/// `lmax-height`, `lmax-parametric`), which drop rates ≤ `abs`.
 const TINY_RATE_POLICIES: &[&str] = &[
     "wdeq",
     "deq",
     "share-no-redistribution",
+    "priority",
     "greedy-smith",
     "greedy-delta-desc",
     "greedy-delta-asc",
@@ -297,8 +297,10 @@ fn reference_validate<S: Scalar>(
             .iter()
             .filter(|c| {
                 let rate = c.rate_of(id);
-                c.len() > tol.abs
-                    && (rate > tol.abs || (rate.is_positive() && c.start < s.completions[id.0]))
+                (c.len() > tol.abs && rate > tol.abs)
+                    || (rate.is_positive()
+                        && c.len().is_positive()
+                        && c.start < s.completions[id.0])
             })
             .map(|c| c.end.clone())
             .fold(S::zero(), S::max_of);
