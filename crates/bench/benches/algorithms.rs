@@ -1,9 +1,9 @@
 //! **B1–B3** — scaling of the paper's three scheduling algorithms.
 //!
 //! * WDEQ (Algorithm 1): O(n² log n) total over all events;
-//! * Water-Filling (Algorithm 2): O(n²)-ish with the breakpoint walk —
-//!   the paper's O(n log n) claim is for the aggregated feasibility
-//!   variant, benchmarked via `wf_feasible`;
+//! * Water-Filling (Algorithm 2): one segment-tree pour per task,
+//!   O(log² n) each — `feasible` is the pours alone (the paper's
+//!   O(n log n) Lmax oracle), `normal-form` also emits every rate;
 //! * Greedy (Algorithm 3): O(n²) profile maintenance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -11,7 +11,6 @@ use malleable_core::algos::greedy::greedy_schedule;
 use malleable_core::algos::orders::smith_order;
 use malleable_core::algos::parametric::{frontier, Objective, ProbeSession};
 use malleable_core::algos::waterfill::{water_filling, wf_feasible};
-use malleable_core::algos::waterfill_fast::wf_feasible_grouped;
 use malleable_core::algos::wdeq::wdeq_run;
 use malleable_core::instance::Instance;
 use malleable_workloads::{generate, Spec};
@@ -38,7 +37,7 @@ fn bench_waterfill(c: &mut Criterion) {
         let inst = generate(&Spec::PaperUniform { n }, 42);
         let completions = wdeq_run(&inst).unwrap().schedule.completions;
         g.bench_with_input(
-            BenchmarkId::new("full", n),
+            BenchmarkId::new("normal-form", n),
             &(&inst, &completions),
             |b, (inst, cs)| b.iter(|| black_box(water_filling(inst, cs).unwrap().makespan())),
         );
@@ -46,13 +45,6 @@ fn bench_waterfill(c: &mut Criterion) {
             BenchmarkId::new("feasible", n),
             &(&inst, &completions),
             |b, (inst, cs)| b.iter(|| black_box(wf_feasible(inst, cs))),
-        );
-        // Ablation: the grouped plateau-merging checker vs the full
-        // algorithm (the paper's O(n log n) Lmax oracle).
-        g.bench_with_input(
-            BenchmarkId::new("feasible-grouped", n),
-            &(&inst, &completions),
-            |b, (inst, cs)| b.iter(|| black_box(wf_feasible_grouped(inst, cs).unwrap())),
         );
     }
     g.finish();

@@ -24,7 +24,7 @@
 //!
 //! The binary also runs the **event-driven scaling ladder**: log-spaced
 //! instance sizes up to `n = 10⁵` (`10⁶` behind `--full`) through
-//! [`wdeq_completions`] and [`wf_feasible_grouped_with_work`], recording
+//! [`wdeq_completions`] and [`wf_feasible_with_work`], recording
 //! per-`n` wall time and event counts as the `"scaling"` section of
 //! `results/BENCH_parametric.json`. The fitted log–log wall-time exponent
 //! of every family must stay ≤ 1.2 (`bench_gate --scaling` re-checks the
@@ -62,7 +62,7 @@ use malleable_bench::perf::{
 };
 use malleable_bench::regression::{asymptotic_curve, fit_loglog_slope, EXACT_FAMILY_TAG};
 use malleable_core::algos::parametric::{frontier, Objective, ProbeSession, SolveMode};
-use malleable_core::algos::waterfill_fast::wf_feasible_grouped_with_work;
+use malleable_core::algos::waterfill::wf_feasible_with_work;
 use malleable_core::algos::wdeq::wdeq_completions;
 use malleable_core::instance::Instance;
 use malleable_workloads::{generate, Spec};
@@ -321,7 +321,7 @@ fn scaling_ladder(scale_max: usize) -> Vec<ScalingRecord> {
                 format!("wf/{tag}"),
                 n,
                 Box::new(move || {
-                    let (ok, work) = wf_feasible_grouped_with_work(instance, deadlines)
+                    let (ok, work) = wf_feasible_with_work(instance, deadlines)
                         .unwrap_or_else(|e| panic!("wf/{tag}[n={n}]: {e}"));
                     assert!(ok, "wf/{tag}[n={n}]: WDEQ completions must be WF-feasible");
                     work

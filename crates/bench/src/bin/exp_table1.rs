@@ -25,7 +25,8 @@ use malleable_bench::batch::{BatchGrid, EvalRecord, GridPolicy, InstanceSource};
 use malleable_bench::stats::summarize;
 use malleable_bench::table::{fnum, Table};
 use malleable_bench::{csvout, instance_count};
-use malleable_core::algos::makespan::{deadlines_feasible, makespan_schedule, optimal_makespan};
+use malleable_core::algos::makespan::{makespan_schedule, optimal_makespan};
+use malleable_core::algos::waterfill::wf_feasible;
 use malleable_core::instance::Instance;
 use malleable_workloads::{generate, seed_batch, Spec};
 use rand::rngs::StdRng;
@@ -208,11 +209,11 @@ fn main() {
     let probe = GridPolicy::custom("wf-cmax-probe", |inst| {
         let c = optimal_makespan(inst);
         assert!(
-            deadlines_feasible(inst, &vec![c; inst.n()]),
+            wf_feasible(inst, &vec![c; inst.n()]),
             "optimal makespan must be feasible"
         );
         assert!(
-            !deadlines_feasible(inst, &vec![c * 0.999; inst.n()]),
+            !wf_feasible(inst, &vec![c * 0.999; inst.n()]),
             "below-optimal makespan must be infeasible"
         );
         makespan_schedule(inst)

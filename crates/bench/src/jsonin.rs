@@ -9,7 +9,8 @@
 //! straightforward recursive-descent parser over the full JSON grammar
 //! (objects, arrays, strings with escapes, numbers, booleans, null); it
 //! does not aim at serde performance or streaming, just correctness on
-//! small documents.
+//! small documents. Nesting deeper than [`MAX_DEPTH`] is an error, so no
+//! input line can exhaust the stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -83,15 +84,21 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts (every
+/// document this crate reads nests at most a few levels).
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 ///
 /// # Errors
-/// [`JsonError`] with the offending byte offset.
+/// [`JsonError`] with the offending byte offset, also for arrays and
+/// objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         at: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -124,6 +131,8 @@ pub fn json_string(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -155,8 +164,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -376,6 +396,19 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        // Far past the cap: rejected at the cap, with no stack overflow.
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
     }
 
     #[test]

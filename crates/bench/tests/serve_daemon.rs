@@ -98,6 +98,22 @@ fn malformed_requests_get_structured_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn a_deeply_nested_request_is_an_error_not_a_crash() {
+    let daemon = Daemon::spawn(&[]);
+    let mut c = daemon.client();
+    let bad = format!("{{\"op\":\"ping\",\"x\":{}", "[".repeat(20_000));
+    let resp = c.request(&bad).expect("the daemon answers the line");
+    assert!(!is_ok(&resp), "{resp:?}");
+    let msg = resp.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(msg.contains("nesting"), "error names the cause: {msg:?}");
+    // Same connection, still healthy.
+    let pong = c.request("{\"op\":\"ping\"}").expect("connection alive");
+    assert!(is_ok(&pong), "{pong:?}");
+    drop(c);
+    daemon.shutdown();
+}
+
+#[test]
 fn client_disconnect_during_a_solve_does_not_poison_the_shard() {
     let daemon = Daemon::spawn(&[]);
     {

@@ -13,7 +13,7 @@ use malleable_bench::perf::min_wall_attributed;
 use malleable_core::algos::parametric::{
     frontier, Objective, ProbeSession, ProbeTelemetry, SolveMode,
 };
-use malleable_core::algos::waterfill_fast::wf_feasible_grouped_with_work;
+use malleable_core::algos::waterfill::wf_feasible_with_work;
 use malleable_core::algos::wdeq::wdeq_completions;
 use malleable_core::machine::RankOracle;
 use malleable_workloads::{generate, seed_batch, Spec};
@@ -183,8 +183,7 @@ fn solver_lane_spans_and_counters_match_taxonomy() {
     let instance = generate(&Spec::PaperUniform { n: 8 }, 7);
     let session = malleable_trace::Session::start();
     let outcome = wdeq_completions(&instance).expect("wdeq runs");
-    let (feasible, work) =
-        wf_feasible_grouped_with_work(&instance, &outcome.completions).expect("wf runs");
+    let (feasible, work) = wf_feasible_with_work(&instance, &outcome.completions).expect("wf runs");
     let trace = session.finish();
     assert!(feasible);
 

@@ -1,8 +1,8 @@
-//! Completion-event priority structures shared by the event-driven fast
-//! lanes ([`crate::algos::wdeq`], [`crate::algos::waterfill_fast`]).
+//! Completion-event priority structures of the event-driven WDEQ lane
+//! ([`crate::algos::wdeq`]).
 //!
-//! The quadratic reference implementations rescan the full active set on
-//! every completion event; the fast lanes instead keep *predicted finish
+//! The quadratic reference rescans the full active set on every
+//! completion event; the event lane instead keeps *predicted finish
 //! keys* in a 4-ary min-heap and handle each event in `O(log n)`. Keys
 //! are generic over [`Scalar`], ordered by [`Scalar::total_cmp_s`] with
 //! the task id as a deterministic tie-break, so the exact (`Rational`)

@@ -8,11 +8,10 @@
 //! scalars. Maximum lateness, and `Cmax` under release dates or on
 //! heterogeneous machines, are the exact frontier roots of
 //! [`crate::algos::parametric::frontier`], whose identical-machine
-//! `Lmax` oracle is [`deadlines_feasible`] (Theorem 8 makes Water-Filling
-//! a complete feasibility test).
+//! `Lmax` oracle is [`crate::algos::waterfill::wf_feasible`] (Theorem 8
+//! makes Water-Filling a complete feasibility test).
 
-use crate::algos::waterfill::{water_filling, wf_feasible};
-use crate::algos::waterfill_fast::wf_feasible_grouped;
+use crate::algos::waterfill::water_filling;
 use crate::error::ScheduleError;
 use crate::instance::Instance;
 use crate::schedule::column::ColumnSchedule;
@@ -65,16 +64,10 @@ pub fn makespan_schedule<S: Scalar>(
     water_filling(instance, &completions)
 }
 
-/// `true` iff every task can complete by its deadline (WF feasibility;
-/// uses the grouped fast checker, falling back to the full algorithm on
-/// malformed input so behaviour matches [`wf_feasible`]).
-pub fn deadlines_feasible<S: Scalar>(instance: &Instance<S>, deadlines: &[S]) -> bool {
-    wf_feasible_grouped(instance, deadlines).unwrap_or_else(|_| wf_feasible(instance, deadlines))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algos::waterfill::wf_feasible;
 
     #[test]
     fn makespan_area_bound_binds() {
@@ -114,8 +107,8 @@ mod tests {
             .build()
             .unwrap();
         let c = optimal_makespan(&inst);
-        assert!(!deadlines_feasible(&inst, &[c * 0.99; 3]));
-        assert!(deadlines_feasible(&inst, &[c; 3]));
+        assert!(!wf_feasible(&inst, &[c * 0.99; 3]));
+        assert!(wf_feasible(&inst, &[c; 3]));
     }
 
     #[test]

@@ -18,6 +18,5 @@ pub mod orders;
 pub mod parametric;
 pub mod related;
 pub mod waterfill;
-pub mod waterfill_fast;
 pub mod waterfill_int;
 pub mod wdeq;

@@ -63,8 +63,7 @@
 //! probe against a cold reference).
 
 use crate::algos::flow::{FlowNetwork, FlowStats};
-use crate::algos::makespan::deadlines_feasible;
-use crate::algos::waterfill::water_filling;
+use crate::algos::waterfill::{water_filling, wf_feasible};
 use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
 use crate::machine::{coalesce_levels, RankOracle, SpeedLevel};
@@ -1072,7 +1071,7 @@ pub fn frontier<S: Scalar>(
                 // so the two cannot disagree; the session only runs the
                 // cut extractions, at the unclamped deadlines dᵢ + λ.
                 let wf_probe = |l: &S, d: &[S], session: &mut ProbeSession<S>| {
-                    if deadlines_feasible(instance, d) {
+                    if wf_feasible(instance, d) {
                         return Probe::Feasible;
                     }
                     let unclamped: Vec<S> = due.iter().map(|d| d.clone() + l.clone()).collect();
@@ -1144,7 +1143,6 @@ pub fn feasible_with_releases<S: Scalar>(
 mod tests {
     use super::*;
     use crate::algos::makespan::optimal_makespan;
-    use crate::algos::waterfill::wf_feasible;
     use bigratio::Rational;
 
     fn cut(inst: &Instance, deadlines: &[f64]) -> Option<ViolatedSet<f64>> {

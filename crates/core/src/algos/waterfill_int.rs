@@ -19,7 +19,9 @@
 //! The staircase is built from the same pieces as Greedy(σ)'s
 //! availability profile ([`crate::algos::greedy`]): every breakpoint is
 //! kept exactly, and neighbouring pieces merge only when their heights are
-//! exactly equal.
+//! exactly equal. Each task's fractional level is solved by the one
+//! Water-Filling pour of [`crate::algos::waterfill`], on a profile of the
+//! staircase's pieces.
 //!
 //! Generic over the scalar like the fractional algorithm: the `f64` path
 //! accepts `P`/`δ` that are integral up to the instance-scaled tolerance
@@ -28,7 +30,7 @@
 //! delivers — exact integrality.
 
 use crate::algos::greedy::{push_piece, Piece};
-use crate::algos::waterfill::pour_level;
+use crate::algos::waterfill::WaterProfile;
 use crate::error::ScheduleError;
 use crate::instance::{Instance, TaskId};
 use crate::schedule::step::{Segment, StepSchedule};
@@ -109,17 +111,13 @@ pub fn water_filling_integer<S: Scalar>(
             }
         }
 
-        // Fractional water level over the staircase pieces.
-        let heights: Vec<S> = profile.iter().map(|s| s.height.clone()).collect();
-        let lengths: Vec<S> = profile
-            .iter()
-            .map(|s| s.end.clone() - s.start.clone())
-            .collect();
-        let level = pour_level(&heights, &lengths, &cap, &volume, &p, &tol).ok_or_else(|| {
-            let placeable = S::sum(profile.iter().map(|s| {
-                (s.end.clone() - s.start.clone())
-                    * (p.clone() - s.height.clone()).clamp_to(S::zero(), cap.clone())
-            }));
+        // Fractional water level over the staircase pieces: the one
+        // Water-Filling pour, on a profile of this staircase.
+        let mut water = WaterProfile::with_capacity(profile.len());
+        for s in &profile {
+            water.append(s.end.clone() - s.start.clone(), s.height.clone());
+        }
+        let (level, _, _) = water.pour(&cap, &volume, &p, &tol).map_err(|placeable| {
             ScheduleError::InfeasibleCompletionTimes {
                 task,
                 placeable: placeable.to_f64(),

@@ -31,7 +31,6 @@ use crate::algos::orders;
 use crate::algos::parametric::{frontier, Objective, ProbeSession};
 use crate::algos::related::{flow_witness, greedy_related};
 use crate::algos::waterfill::water_filling;
-use crate::algos::waterfill_fast::wf_feasible_grouped;
 use crate::algos::wdeq::{certificate_of, wdeq_run};
 use crate::bounds::{combined_lower_bound, mixed_bound};
 use crate::error::ScheduleError;
@@ -197,28 +196,23 @@ impl<S: Scalar, R: AllocationRule<S> + Send + Sync> SchedulingPolicy<S> for Rule
 }
 
 /// Water-Filling normal form (Algorithm 2) of the WDEQ completion times:
-/// same completions, ≤ n allocation changes (Lemma 5). The `fast` variant
-/// routes feasibility through the grouped O(n log n)-style oracle first,
-/// exercising both code paths of Theorem 8.
-#[derive(Debug, Default, Clone, Copy)]
+/// same completions, ≤ n allocation changes (Lemma 5). Registered as `wf`
+/// and as `wf-fast`, a name kept for callers that ask for it; both run
+/// the same pour.
+#[derive(Debug, Clone, Copy)]
 pub struct WaterFillNormalForm {
-    /// Pre-verify feasibility with the grouped oracle before
-    /// materializing the allocation.
-    pub fast: bool,
+    /// Registry name, `"wf"` or `"wf-fast"`.
+    pub name: &'static str,
 }
 
 impl<S: Scalar> SchedulingPolicy<S> for WaterFillNormalForm {
     fn name(&self) -> &'static str {
-        if self.fast {
-            "wf-fast"
-        } else {
-            "wf"
-        }
+        self.name
     }
 
     fn description(&self) -> &'static str {
-        if self.fast {
-            "Water-Filling normal form of WDEQ times (grouped feasibility oracle first)"
+        if self.name == "wf-fast" {
+            "Water-Filling normal form of the WDEQ completion times (same pour as wf)"
         } else {
             "Water-Filling normal form of the WDEQ completion times (Algorithm 2)"
         }
@@ -229,15 +223,8 @@ impl<S: Scalar> SchedulingPolicy<S> for WaterFillNormalForm {
     }
 
     fn run(&self, instance: &Instance<S>) -> Result<PolicyRun<S>, ScheduleError> {
-        instance.require_offline(SchedulingPolicy::<S>::name(self))?;
+        instance.require_offline(self.name)?;
         let completions = wdeq_run(instance)?.schedule.completions;
-        if self.fast && !wf_feasible_grouped(instance, &completions)? {
-            // WDEQ times are feasible by construction; a grouped verdict to
-            // the contrary would be a bug, not bad input.
-            return Err(ScheduleError::InvalidInstance {
-                reason: "grouped oracle rejected WDEQ completion times".into(),
-            });
-        }
         water_filling(instance, &completions).map(plain)
     }
 }
@@ -716,15 +703,15 @@ mod tests {
     }
 
     #[test]
-    fn normal_form_variants_agree_and_keep_wdeq_completions() {
+    fn normal_form_names_agree_and_keep_wdeq_completions() {
         let i = inst();
         let wdeq = SchedulingPolicy::<f64>::schedule(&Wdeq, &i).unwrap();
-        let full =
-            SchedulingPolicy::<f64>::schedule(&WaterFillNormalForm { fast: false }, &i).unwrap();
-        let fast =
-            SchedulingPolicy::<f64>::schedule(&WaterFillNormalForm { fast: true }, &i).unwrap();
-        assert_eq!(full.completions, wdeq.completions);
-        assert_eq!(full.completions, fast.completions);
+        let wf =
+            SchedulingPolicy::<f64>::schedule(&WaterFillNormalForm { name: "wf" }, &i).unwrap();
+        let fast = SchedulingPolicy::<f64>::schedule(&WaterFillNormalForm { name: "wf-fast" }, &i)
+            .unwrap();
+        assert_eq!(wf.completions, wdeq.completions);
+        assert_eq!(wf, fast);
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub fn all<S: Scalar>() -> Vec<Box<dyn SchedulingPolicy<S>>> {
             PriorityRule,
             "heaviest-first list allocation (unfair baseline)",
         )),
-        Box::new(WaterFillNormalForm { fast: false }),
-        Box::new(WaterFillNormalForm { fast: true }),
+        Box::new(WaterFillNormalForm { name: "wf" }),
+        Box::new(WaterFillNormalForm { name: "wf-fast" }),
     ];
     v.extend(
         OrderRule::ALL

@@ -13,9 +13,10 @@ use bigratio::Rational;
 use malleable::core::algos::parametric::{
     feasible_with_releases, frontier, Objective, ProbeSession, SolveMode,
 };
+use malleable::core::algos::related::flow_witness;
 use malleable::core::algos::waterfill::wf_feasible;
-use malleable::core::algos::waterfill_fast::wf_feasible_grouped;
 use malleable::core::algos::wdeq::{certificate_of, wdeq_completions, wdeq_run};
+use malleable::core::error::ScheduleError;
 use malleable::core::policy::rules::run_rule;
 use malleable::prelude::*;
 use malleable::workloads::seed_batch;
@@ -25,6 +26,17 @@ use numkit::{Scalar, Tolerance};
 /// binary rational, so nothing is lost).
 fn lift(inst: &Instance) -> Instance<Rational> {
     inst.to_scalar()
+}
+
+/// The transportation-flow verdict on completion times (Fotakis et al.):
+/// an exact feasibility oracle that shares no code with Water-Filling.
+/// An infeasible vector must be rejected as infeasible, not as malformed.
+fn flow_feasible(inst: &Instance<Rational>, completions: &[Rational]) -> bool {
+    match flow_witness(inst, None, completions, &mut ProbeSession::new()) {
+        Ok(_) => true,
+        Err(ScheduleError::InfeasibleCompletionTimes { .. }) => false,
+        Err(e) => panic!("flow oracle rejected the input: {e}"),
+    }
 }
 
 /// Scale a completion vector by a float factor, in both fields at once so
@@ -70,10 +82,13 @@ fn water_filling_feasibility_agrees_between_f64_and_rational() {
                          exact {feasible_r} away from the feasibility threshold"
                     );
                 }
-                // The grouped fast checker agrees with the full algorithm
-                // in *both* fields.
-                assert_eq!(wf_feasible_grouped(&inst, &cf).unwrap(), feasible_f);
-                assert_eq!(wf_feasible_grouped(&exact, &cr).unwrap(), feasible_r);
+                // The exact verdict is Theorem 8's: the transportation
+                // flow agrees with it.
+                assert_eq!(
+                    flow_feasible(&exact, &cr),
+                    feasible_r,
+                    "n={n} seed={seed} factor={factor}: WF and flow verdicts differ"
+                );
             }
         }
     }
@@ -465,14 +480,17 @@ fn wdeq_duplicate_finish_times_stay_bit_exact() {
         .unwrap();
     assert_wdeq_lanes_bit_equal(&collide, "cross-queue-collision");
 
-    // Duplicate completion times feed the grouped water-filling oracle:
-    // grouped and ungrouped verdicts agree exactly on tied deadlines.
+    // Duplicate completion times feed Water-Filling tied columns: its
+    // verdict matches the transportation flow on the tied WDEQ deadlines
+    // and on a squeezed copy of them.
     for inst in [&clones, &collide] {
         let cs = wdeq_run(inst).unwrap().schedule.completions;
+        let squeezed: Vec<Rational> = cs.iter().map(|c| c.clone() * q(0.875)).collect();
+        assert!(wf_feasible(inst, &cs) && flow_feasible(inst, &cs));
         assert_eq!(
-            wf_feasible_grouped(inst, &cs).unwrap(),
-            wf_feasible(inst, &cs),
-            "grouped/ungrouped WF verdicts diverge on tied deadlines"
+            wf_feasible(inst, &squeezed),
+            flow_feasible(inst, &squeezed),
+            "WF and flow verdicts diverge on tied deadlines"
         );
     }
 }

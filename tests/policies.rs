@@ -129,6 +129,25 @@ fn float_greedy_regressions_validate() {
     }
 }
 
+/// Float Water-Filling answers on the paper's §V-A family that used to be
+/// invalid: the dense pour dropped columns and rates below the tolerance,
+/// so a task's area fell short of its volume.
+#[test]
+fn float_water_filling_regressions_validate() {
+    for name in ["wf", "wf-fast"] {
+        for seed in [2, 3, 5] {
+            let inst = generate(&Spec::PaperUniform { n: 1000 }, seed);
+            let run = policy::by_name::<f64>(name)
+                .expect("registered")
+                .run(&inst)
+                .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
+            run.schedule
+                .validate(&inst)
+                .unwrap_or_else(|e| panic!("{name} seed {seed}: invalid schedule: {e}"));
+        }
+    }
+}
+
 #[test]
 fn exact_registry_matches_float_costs() {
     // The same policy at f64 and Rational must agree to float precision

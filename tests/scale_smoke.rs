@@ -9,7 +9,7 @@
 //! quadratic regressions, not a benchmark; the fitted-exponent gate in
 //! `exp_perf`/`bench_gate --scaling` owns the fine-grained curve.
 
-use malleable::core::algos::waterfill_fast::wf_feasible_grouped_with_work;
+use malleable::core::algos::waterfill::wf_feasible_with_work;
 use malleable::core::algos::wdeq::wdeq_completions;
 use malleable::prelude::*;
 use std::time::{Duration, Instant};
@@ -42,11 +42,11 @@ fn event_driven_lanes_handle_ten_thousand_tasks_in_budget() {
         assert!(run.completions.iter().all(|c| *c > 0.0));
 
         let start = Instant::now();
-        let (feasible, work) = wf_feasible_grouped_with_work(&instance, &run.completions).unwrap();
+        let (feasible, work) = wf_feasible_with_work(&instance, &run.completions).unwrap();
         let wf_wall = start.elapsed();
         assert!(
             wf_wall < Duration::from_secs(5),
-            "{}: grouped WF took {wf_wall:?} for n = {N}",
+            "{}: WF feasibility took {wf_wall:?} for n = {N}",
             spec.label()
         );
         assert!(
@@ -152,6 +152,31 @@ fn float_greedy_policies_validate_at_two_thousand_tasks() {
                     panic!("{name} on {}/{seed}: invalid schedule: {e}", spec.label())
                 });
             }
+        }
+    }
+}
+
+/// `wf`, `wf-fast` and `lmax-parametric` validate at n = 3000 on the
+/// paper's §V-A family. Two Water-Filling pours with different tolerance
+/// rules once disagreed here: the witness pour rejected deadlines the
+/// feasibility oracle had just accepted, and the normal form fell short
+/// of task volumes.
+#[cfg_attr(
+    debug_assertions,
+    ignore = "n = 3000 Water-Filling sweep only runs in release builds"
+)]
+#[test]
+fn float_water_filling_policies_validate_at_three_thousand_tasks() {
+    for seed in 1..=3 {
+        let instance = generate(&Spec::PaperUniform { n: 3000 }, seed);
+        for name in ["wf", "wf-fast", "lmax-parametric"] {
+            let policy = policy::by_name::<f64>(name).expect("registered policy");
+            let schedule = policy
+                .schedule(&instance)
+                .unwrap_or_else(|e| panic!("{name} on seed {seed}: {e}"));
+            schedule
+                .validate(&instance)
+                .unwrap_or_else(|e| panic!("{name} on seed {seed}: invalid schedule: {e}"));
         }
     }
 }

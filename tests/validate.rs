@@ -86,14 +86,15 @@ fn tiny_rate_fixture<S: Scalar>() -> Instance<S> {
         .to_scalar()
 }
 
-/// The registry policies whose answers on [`tiny_rate_fixture`] validate.
-/// Left out: the Water-Filling pourers (`wf`, `wf-fast`, `makespan`,
-/// `lmax-height`, `lmax-parametric`), which drop rates ≤ `abs`.
+/// The policies run on [`tiny_rate_fixture`]: every registry policy, in
+/// registry order (`tiny_rate_fixture_lists_every_registry_policy`).
 const TINY_RATE_POLICIES: &[&str] = &[
     "wdeq",
     "deq",
     "share-no-redistribution",
     "priority",
+    "wf",
+    "wf-fast",
     "greedy-smith",
     "greedy-delta-desc",
     "greedy-delta-asc",
@@ -101,7 +102,10 @@ const TINY_RATE_POLICIES: &[&str] = &[
     "greedy-wheight-desc",
     "greedy-input",
     "best-greedy",
+    "makespan",
     "makespan-parametric",
+    "lmax-height",
+    "lmax-parametric",
     "wdeq-related",
     "wf-related",
     "greedy-smith-related",
@@ -521,4 +525,9 @@ fn tiny_rate_task_validates_and_a_moved_completion_does_not() {
             }
         }
     }
+}
+
+#[test]
+fn tiny_rate_fixture_lists_every_registry_policy() {
+    assert_eq!(TINY_RATE_POLICIES, policy::names().as_slice());
 }
